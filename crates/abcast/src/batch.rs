@@ -29,6 +29,8 @@
 //! batched stacks. With batching *off* the study runner never
 //! constructs this layer, so unbatched runs stay bit-identical.
 
+use std::sync::Arc;
+
 use neko::{Ctx, Dur, FdEvent, Message, Pid, Process, Time, TimerId};
 use rand::RngCore;
 
@@ -37,7 +39,17 @@ use crate::common::{AbcastEvent, MsgId, Payload};
 /// The batched wire payload: origin-unique ids with their payloads,
 /// in arrival order. Rides through reliable broadcast and consensus
 /// as a single opaque value.
-pub type Pack<P> = Vec<(MsgId, P)>;
+///
+/// A pack is immutable once shipped: the [`Batcher`] freezes its
+/// buffer into a fresh pack at flush, and no layer below ever changes
+/// one, because agreement is on the value and every process must
+/// unbatch the same payloads. So the layers share a pack instead of
+/// copying it. Every `clone()` that rbcast, consensus, membership or
+/// the kernel's fan-out makes of a pack-valued message is a refcount
+/// bump, not a copy of the payload run, and the host cost of a
+/// batched run scales with the payloads it carries, not with the hops
+/// each pack takes.
+pub type Pack<P> = Arc<[(MsgId, P)]>;
 
 /// The two batching knobs.
 ///
@@ -94,7 +106,8 @@ pub struct Batcher<P> {
     me: Pid,
     max_batch: usize,
     next_seq: u64,
-    buf: Pack<P>,
+    /// The pack being filled; its capacity is reused across packs.
+    buf: Vec<(MsgId, P)>,
 }
 
 impl<P: Payload> Batcher<P> {
@@ -117,18 +130,20 @@ impl<P: Payload> Batcher<P> {
         };
         self.next_seq += 1;
         self.buf.push((id, payload));
-        let full = (self.buf.len() >= self.max_batch).then(|| std::mem::take(&mut self.buf));
+        let full = (self.buf.len() >= self.max_batch).then(|| self.freeze());
         (id, full)
     }
 
     /// Takes whatever is buffered (the time knob firing), or `None`
     /// when the buffer is empty.
     pub fn flush(&mut self) -> Option<Pack<P>> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut self.buf))
-        }
+        (!self.buf.is_empty()).then(|| self.freeze())
+    }
+
+    /// Moves the buffered payloads into a new pack (one allocation)
+    /// and leaves the buffer empty.
+    fn freeze(&mut self) -> Pack<P> {
+        self.buf.drain(..).collect()
     }
 
     /// Number of buffered payloads.
@@ -301,8 +316,11 @@ impl<M: Message, P: Payload> Ctx<M, AbcastEvent<Pack<P>>> for Unbatch<'_, '_, M,
 
     fn emit(&mut self, out: AbcastEvent<Pack<P>>) {
         let AbcastEvent::Delivered { payload, .. } = out;
-        for (id, p) in payload {
-            self.ctx.emit(AbcastEvent::Delivered { id, payload: p });
+        for (id, p) in payload.iter() {
+            self.ctx.emit(AbcastEvent::Delivered {
+                id: *id,
+                payload: p.clone(),
+            });
         }
     }
 
@@ -332,7 +350,7 @@ mod tests {
         assert!(none.is_none());
         let (id2, full) = b.push(12);
         let pack = full.expect("third payload fills the batch");
-        assert_eq!(pack, vec![(id0, 10), (id1, 11), (id2, 12)]);
+        assert_eq!(*pack, [(id0, 10), (id1, 11), (id2, 12)]);
         assert!(b.is_empty());
         assert_eq!(id0.origin, Pid::new(1));
         assert!(id0 < id1 && id1 < id2, "ids increase in arrival order");

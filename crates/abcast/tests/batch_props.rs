@@ -51,9 +51,9 @@ proptest! {
             assert_eq!(payloads.len() % max_batch, 0);
         }
         assert!(b.flush().is_none(), "empty flush yields nothing");
-        let unpacked: Vec<u32> = packs.iter().flatten().map(|(_, v)| *v).collect();
+        let unpacked: Vec<u32> = packs.iter().flat_map(|p| p.iter()).map(|(_, v)| *v).collect();
         assert_eq!(unpacked, payloads.clone());
-        let ids: Vec<u64> = packs.iter().flatten().map(|(id, _)| id.seq).collect();
+        let ids: Vec<u64> = packs.iter().flat_map(|p| p.iter()).map(|(id, _)| id.seq).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids strictly increase");
     }
 

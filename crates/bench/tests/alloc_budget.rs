@@ -11,21 +11,31 @@
 //! allocator noise or small protocol tweaks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use neko::Dur;
-use study::{run_once, Algorithm, FaultScript, RunParams};
+use abcast::BatchConfig;
+use neko::{Dur, NetworkModel};
+use study::{run_once, Algorithm, FaultScript, RunParams, SingleRun};
 
 /// Counts every allocation this test binary makes. Tests are separate
-/// binaries, so this global allocator is scoped to this file.
+/// binaries, so this global allocator is scoped to this file; the
+/// count is per thread, so the tests of this file, which the harness
+/// runs on parallel threads, never bill each other (a simulated run
+/// allocates on its calling thread only).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: defers all real work to `System`; only a counter is added.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,13 +44,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `alg` once with seed 42 after a warm-up run with seed 41 (so
+/// one-time lazy setup — thread-locals, interned tables, the first
+/// growth of every Vec — does not bill the budget), and returns the
+/// measured run with the allocations it made.
+fn counted_run(alg: Algorithm, params: &RunParams) -> (SingleRun, u64) {
+    run_once(alg, &FaultScript::normal_steady(), params, 41);
+    let before = ALLOCATIONS.with(Cell::get);
+    let run = run_once(alg, &FaultScript::normal_steady(), params, 42);
+    (run, ALLOCATIONS.with(Cell::get) - before)
+}
 
 #[test]
 fn abcast_hot_path_allocation_budget() {
@@ -51,13 +72,7 @@ fn abcast_hot_path_allocation_budget() {
         .with_measure(Dur::from_millis(900))
         .with_drain(Dur::from_millis(500));
 
-    // Warm-up run: one-time lazy setup (thread-locals, interned
-    // tables, the first growth of every Vec) must not bill the budget.
-    run_once(Algorithm::Fd, &FaultScript::normal_steady(), &params, 41);
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let run = run_once(Algorithm::Fd, &FaultScript::normal_steady(), &params, 42);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (run, allocs) = counted_run(Algorithm::Fd, &params);
 
     let delivered = run.measured - run.undelivered;
     assert!(
@@ -76,4 +91,38 @@ fn abcast_hot_path_allocation_budget() {
          message ({allocs} allocations / {delivered} delivered) — a clone or \
          box crept back into the kernel/network hot path"
     );
+}
+
+/// The batched stacks at the saturation benchmark's knob setting:
+/// every layer below the batcher handles whole packs, so allocations
+/// scale with packs, not payloads, as long as no layer deep-copies a
+/// pack. At 32 payloads per pack that is well under one allocation
+/// per delivered payload; deep-copying the pack's payload vector at
+/// every rbcast, consensus and membership hop pushes all three stacks
+/// past it.
+#[test]
+fn batched_stacks_allocate_less_than_once_per_payload() {
+    let params = RunParams::new(3, 12_800.0)
+        .with_warmup(Dur::from_millis(100))
+        .with_measure(Dur::from_millis(900))
+        .with_drain(Dur::from_millis(500))
+        .with_network_model(NetworkModel::Switched)
+        .with_batching(BatchConfig::new(32, Dur::from_millis(10)));
+    for alg in [Algorithm::Fd, Algorithm::Gm, Algorithm::Ring] {
+        let (run, allocs) = counted_run(alg, &params);
+        let delivered = run.measured - run.undelivered;
+        assert!(
+            delivered > 10_000,
+            "{alg:?}: workload too small to be meaningful: {delivered}"
+        );
+        let per_payload = allocs as f64 / delivered as f64;
+        // Observed ≈ 0.35–0.45 with shared packs (FD, GM, Ring), and
+        // 1.06–1.61 when every hop deep-copies the pack.
+        assert!(
+            per_payload < 1.0,
+            "{alg:?}: {per_payload:.2} allocs per delivered payload ({allocs} \
+             allocations / {delivered} delivered) — a pack is being copied \
+             instead of shared"
+        );
+    }
 }

@@ -16,7 +16,6 @@
 //! deterministic merge order, so simulated results never depend on
 //! scheduling.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -686,17 +685,20 @@ where
         &senders,
         derive_seed(seed, 0x40AD),
     );
-    let mut send_times: BTreeMap<u64, (Time, Pid)> = BTreeMap::new();
-    for (t, p, payload) in arrivals {
-        send_times.insert(payload, (t, p));
+    for &(t, p, payload) in &arrivals {
         sim.schedule_command(t, p, payload);
     }
 
     sim.run_until(end);
-    let mut first_delivery: BTreeMap<u64, Time> = BTreeMap::new();
+    // Payload = arrival index (see `poisson_arrivals`), so first
+    // deliveries are kept by index and `arrivals` itself is the send
+    // log, walked below in ascending payload order.
+    let mut first_delivery: Vec<Option<Time>> = vec![None; arrivals.len()];
     for (t, _, ev) in sim.take_outputs() {
         let AbcastEvent::Delivered { payload, .. } = ev;
-        first_delivery.entry(payload).or_insert(t);
+        if let Some(first @ None) = first_delivery.get_mut(payload as usize) {
+            *first = Some(t);
+        }
     }
 
     let downtime = down_intervals(compiled, n);
@@ -712,22 +714,22 @@ where
     let mut latencies = Reservoir::new(params.latency_cap, derive_seed(seed, 0x1A7E));
     let mut measured = 0u64;
     let mut undelivered = 0u64;
-    for (payload, (sent, sender)) in &send_times {
-        if *sent < w0 || *sent >= send_horizon {
+    for (&(sent, sender, _), first) in arrivals.iter().zip(&first_delivery) {
+        if sent < w0 || sent >= send_horizon {
             continue;
         }
         // A broadcast attempted by a process that was down at the
         // send instant never entered the system: not a measurement.
         if downtime[sender.index()]
             .iter()
-            .any(|(from, until)| *sent >= *from && until.is_none_or(|u| *sent < u))
+            .any(|(from, until)| sent >= *from && until.is_none_or(|u| sent < u))
         {
             continue;
         }
         measured += 1;
-        match first_delivery.get(payload) {
+        match first {
             Some(t) => {
-                let l = (*t - *sent).as_millis_f64();
+                let l = (*t - sent).as_millis_f64();
                 lat.push(l);
                 latencies.push(l);
             }

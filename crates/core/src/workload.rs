@@ -16,7 +16,11 @@ pub type Arrival = (Time, Pid, u64);
 /// * `senders` — the processes that actually broadcast (e.g. the
 ///   survivors in a crash-steady run);
 /// * payloads are consecutive integers, unique across the run, and
-///   double as latency-tracking keys.
+///   double as latency-tracking keys: each arrival's payload is its
+///   index in the returned (time-sorted) vector. The study runner
+///   relies on "payload = arrival index": it keeps first deliveries
+///   in a vector indexed by payload and walks the arrivals themselves
+///   as the send log, with no map from payload to send time.
 ///
 /// ```
 /// use neko::{Pid, Time};
@@ -74,6 +78,7 @@ mod tests {
         );
     }
 
+    // Pins the "payload = arrival index" contract the runner relies on.
     #[test]
     fn payloads_are_unique_and_dense() {
         let senders: Vec<Pid> = Pid::all(3).collect();

@@ -6,8 +6,9 @@
 //! reproduce them **bit-identically**: the four paper scenarios are
 //! the contract the composable injection layer compiles down to.
 
-use neko::{Dur, Pid};
-use study::{run_replicated, Algorithm, FaultScript, RunParams};
+use abcast::BatchConfig;
+use neko::{Dur, NetworkModel, Pid};
+use study::{find_saturation, run_replicated, Algorithm, FaultScript, RunParams, SaturationSearch};
 
 const SEED: u64 = 0x601D;
 
@@ -298,4 +299,84 @@ fn crash_transient_zero_detection_matches_enum_path() {
             (0x402e000000000000, 1, 0),
         ],
     );
+}
+
+/// The batched stacks at the knob setting the saturation benchmark
+/// uses: packs of up to 32 payloads or 10 ms, n = 3 on the switched
+/// topology.
+fn batched(t: f64) -> RunParams {
+    quick(3, t)
+        .with_network_model(NetworkModel::Switched)
+        .with_batching(BatchConfig::new(32, Dur::from_millis(10)))
+}
+
+/// Batched pins, one per stack: a pack is one opaque value to
+/// rbcast, consensus and membership, so how the batching layer holds
+/// its packs in memory must never move a timestamp. In a
+/// suspicion-free run the three stacks exchange the same messages at
+/// the same instants (see `ring_golden_scenarios_are_pinned`), so
+/// they share one pin.
+#[test]
+fn batched_normal_steady_is_pinned() {
+    let golden = [
+        (0x4033c8f56b723772, 25807, 0),
+        (0x4034146816144db7, 25442, 0),
+        (0x4033da3bc68d4e33, 25830, 0),
+    ];
+    let script = FaultScript::normal_steady();
+    for alg in [Algorithm::Fd, Algorithm::Gm, Algorithm::Ring] {
+        check(&script, &batched(12_800.0), alg, &golden);
+    }
+}
+
+/// Wrong suspicions under batching: FD and Ring run extra consensus
+/// rounds over packs, and GM's view changes ship packs inside the
+/// flush `Bundle`.
+#[test]
+fn batched_suspicion_steady_is_pinned() {
+    let qos = fdet::QosParams::new()
+        .with_mistake_recurrence(Dur::from_secs(1))
+        .with_mistake_duration(Dur::from_millis(10));
+    let script = FaultScript::suspicion_steady(qos);
+    let fd = [
+        (0x40352547b11633cb, 25807, 0),
+        (0x4034bafdab41d3bd, 25442, 0),
+        (0x4034a9008da30d39, 25830, 0),
+    ];
+    check(&script, &batched(12_800.0), Algorithm::Fd, &fd);
+    check(&script, &batched(12_800.0), Algorithm::Ring, &fd);
+    check(
+        &script,
+        &batched(12_800.0),
+        Algorithm::Gm,
+        &[
+            (0x4041d95fd606713d, 25807, 0),
+            (0x403ccb2a45f213a1, 25442, 0),
+            (0x403cf6a911f41342, 25830, 0),
+        ],
+    );
+}
+
+/// The saturation search over the batched stacks pins `T*` and the
+/// whole probe trail.
+#[test]
+fn batched_saturation_is_pinned() {
+    let params = batched(0.0)
+        .with_warmup(Dur::from_millis(500))
+        .with_measure(Dur::from_millis(300))
+        .with_replications(1);
+    let search = SaturationSearch::default()
+        .with_start(100.0)
+        .with_ceiling(102_400.0)
+        .with_rel_tol(0.5);
+    // Doubling from 100/s sustains up to 51 200/s; the bisection
+    // then fails at 76 800/s and stops at the tolerance.
+    let mut trail: Vec<(f64, bool)> = (0..10).map(|k| (100.0 * f64::from(1 << k), true)).collect();
+    trail.extend([(102_400.0, false), (76_800.0, false)]);
+    for alg in [Algorithm::Fd, Algorithm::Gm, Algorithm::Ring] {
+        let res = find_saturation(alg, &FaultScript::normal_steady(), &params, SEED, &search);
+        assert_eq!(res.t_star, 51_200.0, "{alg:?}: T*");
+        assert_eq!(res.saturated_at, Some(76_800.0), "{alg:?}: bracket");
+        assert_eq!(res.probes, trail, "{alg:?}: probe trail");
+    }
 }
