@@ -81,6 +81,69 @@ fn ring_golden_scenarios_are_pinned() {
     );
 }
 
+/// The ring contender's pins where its repair path runs. A
+/// crash-recovery and a healed partition both leave a process holding
+/// decisions (served by the stall probe's nudge) whose payload bodies
+/// it never received, so ring `Fetch`/`Fwd` traffic crosses the wire
+/// and the timelines part from FD's. Each replication pins `(mean
+/// latency bits, measured, undelivered, wire messages)`: the partition
+/// saturates in replications 2 and 3, where the wire count is what
+/// pins the execution. Ring sending more messages than FD on the same
+/// timeline proves the pins cover the repair traffic.
+#[test]
+fn ring_repair_timelines_are_pinned() {
+    let ms = Dur::from_millis;
+    let params = quick(3, 100.0);
+    let cases = [
+        (
+            FaultScript::crash_recover(Pid::new(0), ms(500), ms(500), ms(10)),
+            [
+                (0x4030e992b5d765a8, 195, 0, 1046),
+                (0x40300522d0e56041, 192, 0, 970),
+                (0x40322f09fc3e5a44, 193, 0, 1034),
+            ],
+        ),
+        (
+            FaultScript::healing_partition(
+                vec![vec![Pid::new(0)], vec![Pid::new(1), Pid::new(2)]],
+                ms(500),
+                ms(500),
+                ms(10),
+            ),
+            [
+                (0x402f4f44a25ea0cd, 205, 10, 1026),
+                (0, 206, 14, 995),
+                (0, 212, 19, 1053),
+            ],
+        ),
+    ];
+    for (script, golden) in &cases {
+        let ring = run_replicated(Algorithm::Ring, script, &params, SEED);
+        let fd = run_replicated(Algorithm::Fd, script, &params, SEED);
+        let got: Vec<(u64, u64, u64, u64)> = ring
+            .runs
+            .iter()
+            .map(|r| {
+                (
+                    r.mean_latency_ms.map(f64::to_bits).unwrap_or(0),
+                    r.measured,
+                    r.undelivered,
+                    r.net.wire_messages,
+                )
+            })
+            .collect();
+        assert_eq!(got, golden, "{script:?}");
+        for (i, (r, f)) in ring.runs.iter().zip(&fd.runs).enumerate() {
+            assert!(
+                r.net.wire_messages > f.net.wire_messages,
+                "rep {i}: ring repair traffic is on the wire ({} vs FD's {})",
+                r.net.wire_messages,
+                f.net.wire_messages,
+            );
+        }
+    }
+}
+
 /// The ring pins hold at every sweep worker count: the thread-pool
 /// executor must not leak scheduling into results for the new
 /// algorithm any more than for the paper's two.
