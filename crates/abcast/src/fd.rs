@@ -16,12 +16,18 @@
 //! the decided proposer — so crashed processes eventually stop being
 //! round-1 coordinators and the crash-steady latency does not depend
 //! on *which* process crashed.
+//!
+//! What the consensus instances order is a [`Strategy`] of the
+//! reduction. The paper's algorithm is [`Bodies`]: batches carry the
+//! payloads. The `ringpaxos` crate instantiates the same reduction
+//! with a strategy that orders ids only and repairs missing bodies.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use consensus::{Consensus, ConsensusAction, ConsensusConfig, ConsensusMsg};
+use consensus::{Consensus, ConsensusAction, ConsensusConfig, ConsensusMsg, Value};
 use fdet::SuspectSet;
-use neko::{FdEvent, Pid};
+use neko::{FdEvent, Message, Pid};
 use rbcast::{RbAction, RbMsg, ReliableBcast};
 
 use crate::common::{MsgId, Payload};
@@ -36,9 +42,9 @@ pub struct Batch<P> {
     pub msgs: Vec<(MsgId, P)>,
 }
 
-/// Wire messages of the FD algorithm.
+/// The reduction's own wire messages, over consensus values `V`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FdCastMsg<P> {
+pub enum CastMsg<P, V> {
     /// Reliable broadcast of a payload.
     Data(RbMsg<(MsgId, P)>),
     /// Consensus traffic of instance `k`.
@@ -46,7 +52,7 @@ pub enum FdCastMsg<P> {
         /// The instance number.
         k: u64,
         /// The embedded consensus message.
-        inner: ConsensusMsg<Batch<P>>,
+        inner: ConsensusMsg<V>,
     },
     /// Channel repair: "my oldest undecided instance is `k` and it
     /// has made no progress — resend what I may have lost". Sent by
@@ -60,13 +66,21 @@ pub enum FdCastMsg<P> {
     },
 }
 
-/// Outputs of the FD state machine, in execution order.
+/// Wire messages of the FD algorithm.
+pub type FdCastMsg<P> = CastMsg<P, Batch<P>>;
+
+impl<P: Payload, V: Value> Message for CastMsg<P, V> {
+    // Consensus aggregates whole batches per instance; no wire-level
+    // coalescing is needed (or used by the paper) for the FD side.
+}
+
+/// Outputs of the reduction, in execution order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FdCastAction<P> {
+pub enum CastAction<M, P> {
     /// Send to one process.
-    Send(Pid, FdCastMsg<P>),
+    Send(Pid, M),
     /// Send to all other processes.
-    Multicast(FdCastMsg<P>),
+    Multicast(M),
     /// `A-deliver`.
     Deliver {
         /// The broadcast's identity.
@@ -76,31 +90,185 @@ pub enum FdCastAction<P> {
     },
 }
 
+/// Outputs of the FD state machine.
+pub type FdCastAction<P> = CastAction<FdCastMsg<P>, P>;
+
+/// Why the reduction hands a strategy ids whose bodies are missing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Repair {
+    /// The decision at the head of the delivery order was just found
+    /// blocked on them.
+    Blocked,
+    /// A suspicion may have cut off a repair in flight.
+    Suspicion,
+    /// A stall probe found the head decision still blocked.
+    Probe,
+}
+
+/// The reduction's local state, as a strategy's hooks read it.
+#[derive(Debug)]
+pub struct Local<'a, P> {
+    /// This process.
+    pub me: Pid,
+    /// Group size.
+    pub n: usize,
+    /// Round-1 coordinator of the current instance.
+    pub coord_first: Pid,
+    /// The failure detector's current output.
+    pub suspects: &'a SuspectSet,
+    /// Received, not yet delivered payloads.
+    pub pending: &'a Pending<P>,
+}
+
+/// What the reduction's consensus instances order, and what follows
+/// from it. The default hooks suit a value that carries its bodies.
+pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
+    /// The consensus value.
+    type Value: Value;
+    /// The wire message: [`CastMsg`] traffic plus the strategy's own.
+    type Msg: Message;
+
+    /// Wraps the reduction's traffic into the wire message.
+    fn wrap(msg: CastMsg<P, Self::Value>) -> Self::Msg;
+    /// Unwraps the reduction's traffic; the strategy's own is `Err`.
+    fn split(msg: Self::Msg) -> Result<CastMsg<P, Self::Value>, Self::Msg>;
+    /// `me`'s proposal, built from the pending messages.
+    fn propose(me: Pid, pending: &Pending<P>) -> Self::Value;
+    /// The process that proposed `value` (coordinator renumbering).
+    fn proposer(value: &Self::Value) -> Pid;
+    /// The messages of a decided `value` with nothing missing, in
+    /// delivery order (ids already delivered may be skipped).
+    fn deliveries(&mut self, value: Self::Value, pending: &mut Pending<P>) -> Vec<(MsgId, P)>;
+    /// Ids of `value` whose bodies are neither pending nor delivered:
+    /// its delivery waits until they arrive.
+    fn missing(_value: &Self::Value, _: &Pending<P>, _: &BTreeSet<MsgId>) -> Vec<MsgId> {
+        Vec::new()
+    }
+    /// A payload body arrived by reliable broadcast.
+    fn on_body(&mut self, _id: MsgId) {}
+    /// Handles one of the strategy's own messages; returns the bodies
+    /// it recovered.
+    fn on_message(
+        &mut self,
+        _at: &Local<'_, P>,
+        _msg: Self::Msg,
+        _out: &mut Actions<Self, P>,
+    ) -> Vec<(MsgId, P)> {
+        Vec::new()
+    }
+    /// Repairs the `missing` bodies the head decision is blocked on.
+    fn repair(
+        &mut self,
+        _at: &Local<'_, P>,
+        _missing: Vec<MsgId>,
+        _why: Repair,
+        _out: &mut Actions<Self, P>,
+    ) {
+    }
+}
+
+/// Received, not yet delivered payloads, in id order.
+pub type Pending<P> = BTreeMap<MsgId, P>;
+
+/// The action buffer a strategy `S` writes to.
+pub type Actions<S, P> = Vec<CastAction<<S as Strategy<P>>::Msg, P>>;
+
+/// The FD algorithm's strategy: consensus orders whole [`Batch`]es,
+/// bodies included, so a decision never waits for a payload.
+#[derive(Debug, Default)]
+pub struct Bodies {
+    /// Local arrival order of pending messages — only consulted by
+    /// the `mutation-skip-tiebreak` self-check build (see
+    /// `deliveries`).
+    #[cfg(feature = "mutation-skip-tiebreak")]
+    arrival: Vec<MsgId>,
+}
+
+impl<P: Payload> Strategy<P> for Bodies {
+    type Value = Batch<P>;
+    type Msg = FdCastMsg<P>;
+
+    fn wrap(msg: FdCastMsg<P>) -> FdCastMsg<P> {
+        msg
+    }
+
+    fn split(msg: FdCastMsg<P>) -> Result<FdCastMsg<P>, FdCastMsg<P>> {
+        Ok(msg)
+    }
+
+    fn propose(me: Pid, pending: &Pending<P>) -> Batch<P> {
+        Batch {
+            proposer: me,
+            msgs: pending.iter().map(|(id, p)| (*id, p.clone())).collect(),
+        }
+    }
+
+    fn proposer(value: &Batch<P>) -> Pid {
+        value.proposer
+    }
+
+    fn deliveries(&mut self, value: Batch<P>, _: &mut Pending<P>) -> Vec<(MsgId, P)> {
+        // SELF-CHECK MUTATION ("the oracle has teeth"): with the
+        // `mutation-skip-tiebreak` feature the paper's tie-break —
+        // deliver a decided batch "according to the order of their
+        // IDs" (Section 4.1) — is deliberately skipped in favour of
+        // *local arrival order*, which differs between processes
+        // whenever broadcasts race. The decided value is still
+        // agreed; only the delivery order inside the batch diverges,
+        // exactly the class of bug the schedule explorer must catch
+        // and shrink (tests/explore.rs pins that it does). Never
+        // enable this feature outside that self-check.
+        #[cfg(feature = "mutation-skip-tiebreak")]
+        let value = {
+            let mut value = value;
+            let pos = |id: &MsgId| {
+                self.arrival
+                    .iter()
+                    .position(|a| a == id)
+                    .unwrap_or(usize::MAX)
+            };
+            value.msgs.sort_by_key(|(id, _)| (pos(id), *id));
+            value
+        };
+        value.msgs
+    }
+
+    #[cfg(feature = "mutation-skip-tiebreak")]
+    fn on_body(&mut self, id: MsgId) {
+        if !self.arrival.contains(&id) {
+            self.arrival.push(id);
+        }
+    }
+}
+
 /// Consensus messages buffered for an instance not yet started.
-type FutureMsgs<P> = Vec<(Pid, ConsensusMsg<Batch<P>>)>;
+type FutureMsgs<V> = Vec<(Pid, ConsensusMsg<V>)>;
 
 /// Observable progress of the oldest undecided instance, compared
 /// across stall probes: `(instance, consensus diagnostic snapshot)`.
 type ProgressSig = (u64, Option<(u32, &'static str, usize, usize)>);
 
-/// Per-process endpoint of the FD atomic broadcast algorithm.
+/// Per-process endpoint of the FD atomic broadcast algorithm — the
+/// reduction to reliable broadcast plus a sequence of consensus
+/// instances, ordering what the strategy `S` chooses.
 ///
 /// Pure state machine; the [`crate::FdNode`] shell adapts it to
 /// [`neko::Process`].
 #[derive(Debug)]
-pub struct FdAbcast<P: Payload> {
+pub struct FdAbcast<P: Payload, S: Strategy<P> = Bodies> {
     me: Pid,
     n: usize,
     renumbering: bool,
+    strategy: S,
     rb: ReliableBcast<(MsgId, P)>,
-    pending: BTreeMap<MsgId, P>,
+    pending: Pending<P>,
     delivered: BTreeSet<MsgId>,
     delivered_log: Vec<MsgId>,
     /// Next instance to decide (all below are decided).
     k: u64,
-    instances: BTreeMap<u64, Consensus<Batch<P>>>,
-    decisions_ahead: BTreeMap<u64, Batch<P>>,
-    future: BTreeMap<u64, FutureMsgs<P>>,
+    instances: BTreeMap<u64, Consensus<S::Value>>,
+    decisions_ahead: BTreeMap<u64, S::Value>,
+    future: BTreeMap<u64, FutureMsgs<S::Value>>,
     coord_first: Pid,
     suspects: SuspectSet,
     /// Progress signature at the last stall probe.
@@ -111,15 +279,18 @@ pub struct FdAbcast<P: Payload> {
     /// Always empty between calls; kept only for their capacity (the
     /// handlers otherwise allocate a fresh vector per wire message).
     rb_scratch: Vec<RbAction<(MsgId, P)>>,
-    cons_scratch: Vec<ConsensusAction<Batch<P>>>,
-    /// Local arrival order of pending messages — only consulted by
-    /// the `mutation-skip-tiebreak` self-check build (see
-    /// [`Self::apply_ready_decisions`]).
-    #[cfg(feature = "mutation-skip-tiebreak")]
-    arrival: Vec<MsgId>,
+    cons_scratch: Vec<ConsensusAction<S::Value>>,
 }
 
 impl<P: Payload> FdAbcast<P> {
+    /// Disables the coordinator-renumbering optimisation (ablation).
+    pub fn without_renumbering(mut self) -> Self {
+        self.renumbering = false;
+        self
+    }
+}
+
+impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     /// Creates the endpoint for `me` in a system of `n` processes.
     /// `suspects` is the failure detector's current output.
     pub fn new(me: Pid, n: usize, suspects: &SuspectSet) -> Self {
@@ -127,6 +298,7 @@ impl<P: Payload> FdAbcast<P> {
             me,
             n,
             renumbering: true,
+            strategy: S::default(),
             rb: ReliableBcast::new(me),
             pending: BTreeMap::new(),
             delivered: BTreeSet::new(),
@@ -141,15 +313,7 @@ impl<P: Payload> FdAbcast<P> {
             stalled_probes: 0,
             rb_scratch: Vec::new(),
             cons_scratch: Vec::new(),
-            #[cfg(feature = "mutation-skip-tiebreak")]
-            arrival: Vec::new(),
         }
-    }
-
-    /// Disables the coordinator-renumbering optimisation (ablation).
-    pub fn without_renumbering(mut self) -> Self {
-        self.renumbering = false;
-        self
     }
 
     /// The A-delivery order so far (ids).
@@ -167,20 +331,18 @@ impl<P: Payload> FdAbcast<P> {
         self.k
     }
 
-    /// Round and decision state of a consensus instance, if it exists
-    /// locally (diagnostics).
-    pub fn instance_state(&self, k: u64) -> Option<(u32, bool)> {
-        self.instances.get(&k).map(|c| (c.round(), c.has_decided()))
-    }
-
-    /// Full diagnostic snapshot of a consensus instance.
-    #[doc(hidden)]
-    pub fn instance_debug(&self, k: u64) -> Option<(u32, &'static str, usize, usize)> {
-        self.instances.get(&k).map(|c| c.debug_state())
+    /// Ids decided at the current instance whose payloads are still
+    /// missing locally (the delivery loop is blocked on them). Always
+    /// empty for [`Bodies`], whose decisions carry the payloads.
+    pub fn missing_payloads(&self) -> Vec<MsgId> {
+        self.decisions_ahead
+            .get(&self.k)
+            .map(|v| S::missing(v, &self.pending, &self.delivered))
+            .unwrap_or_default()
     }
 
     /// `A-broadcast(payload)`; returns the new message's id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Vec<FdCastAction<P>>) -> MsgId {
+    pub fn broadcast(&mut self, payload: P, out: &mut Actions<S, P>) -> MsgId {
         // One reliable broadcast per A-broadcast; the rb id doubles as
         // the message id, and is embedded in the payload so receivers
         // (and consensus batches) carry it around.
@@ -198,15 +360,18 @@ impl<P: Payload> FdAbcast<P> {
     }
 
     /// Handles a wire message.
-    pub fn on_message(&mut self, from: Pid, msg: FdCastMsg<P>, out: &mut Vec<FdCastAction<P>>) {
-        match msg {
-            FdCastMsg::Data(rbmsg) => {
+    pub fn on_message(&mut self, from: Pid, msg: S::Msg, out: &mut Actions<S, P>) {
+        match S::split(msg) {
+            Ok(CastMsg::Data(rbmsg)) => {
                 let mut rb_out = std::mem::take(&mut self.rb_scratch);
                 self.rb.on_message(from, rbmsg, &self.suspects, &mut rb_out);
                 self.map_rb(&mut rb_out, out);
                 self.rb_scratch = rb_out;
+                // A data arrival may be the body a decided value was
+                // blocked on.
+                self.apply_ready_decisions(out);
             }
-            FdCastMsg::Cons { k, inner } => {
+            Ok(CastMsg::Cons { k, inner }) => {
                 if k > self.k {
                     // Instances run strictly in order locally; keep
                     // early traffic for later.
@@ -216,15 +381,9 @@ impl<P: Payload> FdAbcast<P> {
                 if k == self.k {
                     self.ensure_instance(out);
                 }
-                let Some(inst) = self.instances.get_mut(&k) else {
-                    return;
-                };
-                let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                inst.on_message(from, inner, &mut cons_out);
-                self.pump_cons(k, &mut cons_out, out);
-                self.cons_scratch = cons_out;
+                self.step_cons(k, out, |c, o| c.on_message(from, inner, o));
             }
-            FdCastMsg::Nudge { k } => {
+            Ok(CastMsg::Nudge { k }) => {
                 if k < self.k {
                     // The sender is behind: serve it every decision it
                     // is missing (it applies them in order and catches
@@ -233,12 +392,12 @@ impl<P: Payload> FdAbcast<P> {
                         if let Some(reply) =
                             self.instances.get(&kk).and_then(Consensus::decision_reply)
                         {
-                            out.push(FdCastAction::Send(
+                            out.push(CastAction::Send(
                                 from,
-                                FdCastMsg::Cons {
+                                S::wrap(CastMsg::Cons {
                                     k: kk,
                                     inner: reply,
-                                },
+                                }),
                             ));
                         }
                     }
@@ -246,15 +405,23 @@ impl<P: Payload> FdAbcast<P> {
                     // Same instance: re-emit our directed state — the
                     // proposal (coordinator) or estimate/ack
                     // (participant) the sender may have lost.
-                    if let Some(inst) = self.instances.get(&k) {
-                        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                        inst.resend_to(from, &mut cons_out);
-                        self.pump_cons(k, &mut cons_out, out);
-                        self.cons_scratch = cons_out;
-                    }
+                    self.step_cons(k, out, |c, o| c.resend_to(from, o));
                 }
                 // k > self.k: the nudger is ahead; our own stall probe
                 // covers our side.
+            }
+            Err(own) => {
+                let (strategy, at) = self.parts();
+                let bodies = strategy.on_message(&at, own, out);
+                if !bodies.is_empty() {
+                    for (id, p) in bodies {
+                        if !self.delivered.contains(&id) {
+                            self.pending.entry(id).or_insert(p);
+                        }
+                    }
+                    self.apply_ready_decisions(out);
+                    self.ensure_instance(out);
+                }
             }
         }
     }
@@ -264,8 +431,13 @@ impl<P: Payload> FdAbcast<P> {
     /// undecided instance has made *no* observable progress since the
     /// last probe, ask the group to resend what was lost. Quiet in
     /// loss-free runs — consensus always progresses between probes —
-    /// so steady-state behaviour is untouched.
-    pub fn stall_probe(&mut self, out: &mut Vec<FdCastAction<P>>) {
+    /// so steady-state behaviour is untouched. A head decision still
+    /// blocked on missing bodies goes back to the strategy's repair
+    /// first, without the two-probe hysteresis: a decided value with
+    /// missing payloads is never slow consensus, it is a lost message
+    /// by construction.
+    pub fn stall_probe(&mut self, out: &mut Actions<S, P>) {
+        self.repair(Repair::Probe, out);
         let sig = (
             self.k,
             self.instances.get(&self.k).map(Consensus::debug_state),
@@ -289,12 +461,12 @@ impl<P: Payload> FdAbcast<P> {
             .get(&self.k)
             .is_some_and(|c| !c.has_decided());
         if undecided {
-            out.push(FdCastAction::Multicast(FdCastMsg::Nudge { k: self.k }));
+            out.push(CastAction::Multicast(S::wrap(CastMsg::Nudge { k: self.k })));
         }
     }
 
     /// Handles a failure-detector edge.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Vec<FdCastAction<P>>) {
+    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<S, P>) {
         self.suspects.apply(ev);
         if let FdEvent::Suspect(p) = ev {
             // Lazy relay of undecided payloads from the suspect.
@@ -302,131 +474,129 @@ impl<P: Payload> FdAbcast<P> {
             self.rb.on_suspect(p, &mut rb_out);
             self.map_rb(&mut rb_out, out);
             self.rb_scratch = rb_out;
+            self.repair(Repair::Suspicion, out);
         }
         // Only the in-flight instance reacts to suspicions (the paper's
         // "the FD algorithm reacts only to the crash of the [current]
         // coordinator"). Decided instances serve laggards by replying
         // to their messages with the decision instead.
-        let k = self.k;
-        if let Some(inst) = self.instances.get_mut(&k) {
-            let mut cons_out = std::mem::take(&mut self.cons_scratch);
-            inst.on_fd(ev, &mut cons_out);
-            self.pump_cons(k, &mut cons_out, out);
-            self.cons_scratch = cons_out;
-        }
+        self.step_cons(self.k, out, |c, o| c.on_fd(ev, o));
     }
 
-    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<(MsgId, P)>>, out: &mut Vec<FdCastAction<P>>) {
+    /// The strategy, beside the local state its hooks read.
+    fn parts(&mut self) -> (&mut S, Local<'_, P>) {
+        let at = Local {
+            me: self.me,
+            n: self.n,
+            coord_first: self.coord_first,
+            suspects: &self.suspects,
+            pending: &self.pending,
+        };
+        (&mut self.strategy, at)
+    }
+
+    /// Hands the head decision's missing bodies, if any, to the
+    /// strategy's repair; returns whether delivery is blocked on them.
+    fn repair(&mut self, why: Repair, out: &mut Actions<S, P>) -> bool {
+        let missing = self.missing_payloads();
+        if missing.is_empty() {
+            return false;
+        }
+        let (strategy, at) = self.parts();
+        strategy.repair(&at, missing, why, out);
+        true
+    }
+
+    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<(MsgId, P)>>, out: &mut Actions<S, P>) {
         for a in rb_out.drain(..) {
             match a {
                 RbAction::Deliver {
                     payload: (id, p), ..
                 } => {
                     if !self.delivered.contains(&id) {
-                        #[cfg(feature = "mutation-skip-tiebreak")]
-                        if !self.pending.contains_key(&id) {
-                            self.arrival.push(id);
-                        }
+                        self.strategy.on_body(id);
                         self.pending.insert(id, p);
                         self.ensure_instance(out);
                     }
                 }
-                RbAction::Multicast(m) => out.push(FdCastAction::Multicast(FdCastMsg::Data(m))),
-                RbAction::Send(to, m) => out.push(FdCastAction::Send(to, FdCastMsg::Data(m))),
+                RbAction::Multicast(m) => {
+                    out.push(CastAction::Multicast(S::wrap(CastMsg::Data(m))));
+                }
+                RbAction::Send(to, m) => out.push(CastAction::Send(to, S::wrap(CastMsg::Data(m)))),
             }
         }
     }
 
     /// Creates (and proposes in) the current instance if there is a
     /// reason to: pending messages, or incoming traffic for it.
-    fn ensure_instance(&mut self, out: &mut Vec<FdCastAction<P>>) {
-        if self.pending.is_empty() && !self.instances.contains_key(&self.k) {
-            return;
-        }
+    fn ensure_instance(&mut self, out: &mut Actions<S, P>) {
         let k = self.k;
-        if !self.instances.contains_key(&k) {
-            let cfg = if self.renumbering {
-                ConsensusConfig::ring_from(self.me, self.n, self.coord_first)
-            } else {
-                ConsensusConfig::ring(self.me, self.n)
-            };
-            self.instances
-                .insert(k, Consensus::new(cfg, &self.suspects));
-        }
+        let inst = match self.instances.entry(k) {
+            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                if self.pending.is_empty() {
+                    return;
+                }
+                let cfg = if self.renumbering {
+                    ConsensusConfig::ring_from(self.me, self.n, self.coord_first)
+                } else {
+                    ConsensusConfig::ring(self.me, self.n)
+                };
+                e.insert(Consensus::new(cfg, &self.suspects))
+            }
+        };
         // Propose our current pending batch (empty batches are valid
         // when we were dragged in). An instance proposes once, so skip
-        // cloning the pending set when the proposal would be a no-op.
-        let inst = &self.instances[&k];
+        // building the proposal when it would be a no-op.
         if inst.has_proposed() || inst.has_decided() {
             return;
         }
-        let batch = Batch {
-            proposer: self.me,
-            msgs: self
-                .pending
-                .iter()
-                .map(|(id, p)| (*id, p.clone()))
-                .collect(),
-        };
-        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-        self.instances
-            .get_mut(&k)
-            .expect("inserted above")
-            .propose(batch, &mut cons_out);
-        self.pump_cons(k, &mut cons_out, out);
-        self.cons_scratch = cons_out;
+        let value = S::propose(self.me, &self.pending);
+        self.step_cons(k, out, |c, o| c.propose(value, o));
     }
 
-    fn pump_cons(
+    /// Runs `step` on instance `k`, if it exists here, and pumps what
+    /// it emits: consensus traffic onto the wire, a decision into the
+    /// in-order application.
+    fn step_cons(
         &mut self,
         k: u64,
-        cons_out: &mut Vec<ConsensusAction<Batch<P>>>,
-        out: &mut Vec<FdCastAction<P>>,
+        out: &mut Actions<S, P>,
+        step: impl FnOnce(&mut Consensus<S::Value>, &mut Vec<ConsensusAction<S::Value>>),
     ) {
+        let Some(inst) = self.instances.get_mut(&k) else {
+            return;
+        };
+        let mut cons_out = std::mem::take(&mut self.cons_scratch);
+        step(inst, &mut cons_out);
         let mut decided = None;
         for a in cons_out.drain(..) {
+            let wire = |inner| S::wrap(CastMsg::Cons { k, inner });
             match a {
-                ConsensusAction::Send(p, m) => {
-                    out.push(FdCastAction::Send(p, FdCastMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Multicast(m) => {
-                    out.push(FdCastAction::Multicast(FdCastMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Decided(b) => decided = Some(b),
+                ConsensusAction::Send(p, m) => out.push(CastAction::Send(p, wire(m))),
+                ConsensusAction::Multicast(m) => out.push(CastAction::Multicast(wire(m))),
+                ConsensusAction::Decided(v) => decided = Some(v),
             }
         }
-        if let Some(batch) = decided {
-            self.decisions_ahead.insert(k, batch);
+        self.cons_scratch = cons_out;
+        if let Some(value) = decided {
+            self.decisions_ahead.insert(k, value);
             self.apply_ready_decisions(out);
         }
     }
 
-    fn apply_ready_decisions(&mut self, out: &mut Vec<FdCastAction<P>>) {
-        while let Some(batch) = self.decisions_ahead.remove(&self.k) {
-            // SELF-CHECK MUTATION ("the oracle has teeth"): with the
-            // `mutation-skip-tiebreak` feature the paper's tie-break
-            // — deliver a decided batch "according to the order of
-            // their IDs" (Section 4.1) — is deliberately skipped in
-            // favour of *local arrival order*, which differs between
-            // processes whenever broadcasts race. The decided value
-            // is still agreed; only the delivery order inside the
-            // batch diverges, exactly the class of bug the schedule
-            // explorer must catch and shrink (tests/explore.rs pins
-            // that it does). Never enable this feature outside that
-            // self-check.
-            #[cfg(feature = "mutation-skip-tiebreak")]
-            let batch = {
-                let mut batch = batch;
-                let pos = |id: &MsgId| {
-                    self.arrival
-                        .iter()
-                        .position(|a| a == id)
-                        .unwrap_or(usize::MAX)
-                };
-                batch.msgs.sort_by_key(|(id, _)| (pos(id), *id));
-                batch
+    fn apply_ready_decisions(&mut self, out: &mut Actions<S, P>) {
+        loop {
+            if self.repair(Repair::Blocked, out) {
+                // The decision outran its payloads: in-order delivery
+                // waits for the strategy's repair.
+                return;
+            }
+            let Some(value) = self.decisions_ahead.remove(&self.k) else {
+                return;
             };
-            for (id, p) in batch.msgs {
+            let proposer = S::proposer(&value);
+            for (id, p) in self.strategy.deliveries(value, &mut self.pending) {
                 if self.delivered.insert(id) {
                     self.pending.remove(&id);
                     self.delivered_log.push(id);
@@ -434,11 +604,11 @@ impl<P: Payload> FdAbcast<P> {
                         origin: id.origin,
                         seq: id.seq,
                     });
-                    out.push(FdCastAction::Deliver { id, payload: p });
+                    out.push(CastAction::Deliver { id, payload: p });
                 }
             }
             if self.renumbering {
-                self.coord_first = batch.proposer;
+                self.coord_first = proposer;
             }
             self.k += 1;
             // Drain consensus traffic that arrived early for the new
@@ -456,13 +626,7 @@ impl<P: Payload> FdAbcast<P> {
             if let Some(msgs) = self.future.remove(&drained_k) {
                 self.ensure_instance(out);
                 for (from, inner) in msgs {
-                    let Some(inst) = self.instances.get_mut(&drained_k) else {
-                        continue;
-                    };
-                    let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                    inst.on_message(from, inner, &mut cons_out);
-                    self.pump_cons(drained_k, &mut cons_out, out);
-                    self.cons_scratch = cons_out;
+                    self.step_cons(drained_k, out, |c, o| c.on_message(from, inner, o));
                 }
             }
             self.ensure_instance(out);
@@ -474,313 +638,10 @@ impl<P: Payload> FdAbcast<P> {
 mod tests {
     use super::*;
 
-    type A = FdCastAction<u32>;
-
-    fn nodes(n: usize) -> Vec<FdAbcast<u32>> {
-        (0..n)
-            .map(|i| FdAbcast::new(Pid::new(i), n, &SuspectSet::new()))
-            .collect()
-    }
-
-    /// Routes actions until quiescence (FIFO), returning deliveries
-    /// per process.
-    fn drive(
-        nodes: &mut [FdAbcast<u32>],
-        mut queue: Vec<(usize, usize, FdCastMsg<u32>)>,
-    ) -> Vec<Vec<(MsgId, u32)>> {
-        let n = nodes.len();
-        let mut delivered = vec![Vec::new(); n];
-        let mut steps = 0;
-        while !queue.is_empty() {
-            steps += 1;
-            assert!(steps < 100_000, "no quiescence");
-            let (from, to, m) = queue.remove(0);
-            let mut out = Vec::new();
-            nodes[to].on_message(Pid::new(from), m, &mut out);
-            route(to, out, n, &mut queue, &mut delivered);
-        }
-        delivered
-    }
-
-    fn route(
-        from: usize,
-        out: Vec<A>,
-        n: usize,
-        queue: &mut Vec<(usize, usize, FdCastMsg<u32>)>,
-        delivered: &mut [Vec<(MsgId, u32)>],
-    ) {
-        for a in out {
-            match a {
-                FdCastAction::Send(to, m) => queue.push((from, to.index(), m)),
-                FdCastAction::Multicast(m) => {
-                    for to in 0..n {
-                        if to != from {
-                            queue.push((from, to, m.clone()));
-                        }
-                    }
-                }
-                FdCastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
-            }
-        }
-    }
-
-    #[test]
-    fn single_broadcast_delivered_everywhere_in_same_order() {
-        let mut ns = nodes(3);
-        let mut out = Vec::new();
-        let id = ns[1].broadcast(77, &mut out);
-        let mut queue = Vec::new();
-        let mut delivered = vec![Vec::new(); 3];
-        route(1, out, 3, &mut queue, &mut delivered);
-        let more = drive(&mut ns, queue);
-        for (i, d) in more.iter().enumerate() {
-            let mut all = delivered[i].clone();
-            all.extend(d.iter().cloned());
-            assert_eq!(all, vec![(id, 77)], "at p{}", i + 1);
-        }
-    }
-
-    #[test]
-    fn concurrent_broadcasts_are_totally_ordered() {
-        let mut ns = nodes(3);
-        let mut queue = Vec::new();
-        let mut delivered = vec![Vec::new(); 3];
-        for (i, n) in ns.iter_mut().enumerate() {
-            let mut out = Vec::new();
-            n.broadcast(10 + i as u32, &mut out);
-            route(i, out, 3, &mut queue, &mut delivered);
-        }
-        let more = drive(&mut ns, queue);
-        let mut logs: Vec<Vec<(MsgId, u32)>> = Vec::new();
-        for i in 0..3 {
-            let mut all = delivered[i].clone();
-            all.extend(more[i].iter().cloned());
-            logs.push(all);
-        }
-        assert_eq!(logs[0].len(), 3);
-        assert_eq!(logs[0], logs[1]);
-        assert_eq!(logs[1], logs[2]);
-    }
-
-    #[test]
-    fn back_to_back_broadcasts_all_ordered() {
-        // Messages that arrive while a consensus is in flight are
-        // decided by a later instance; nothing is lost and the order
-        // is identical everywhere.
-        let mut ns = nodes(3);
-        let mut queue = Vec::new();
-        let mut delivered = vec![Vec::new(); 3];
-        for v in [1u32, 2u32, 3u32] {
-            let mut out = Vec::new();
-            ns[0].broadcast(v, &mut out);
-            route(0, out, 3, &mut queue, &mut delivered);
-        }
-        let more = drive(&mut ns, queue);
-        for i in 0..3 {
-            let mut all = delivered[i].clone();
-            all.extend(more[i].iter().cloned());
-            assert_eq!(all.len(), 3, "at p{}", i + 1);
-        }
-        assert_eq!(ns[0].delivered_log(), ns[1].delivered_log());
-        assert_eq!(ns[1].delivered_log(), ns[2].delivered_log());
-        assert_eq!(ns[0].pending(), 0);
-    }
-
-    #[test]
-    fn renumbering_moves_coordinator_to_decided_proposer() {
-        let mut ns = nodes(3);
-        // p2 broadcasts; drive to completion. Instance 1's coordinator
-        // is p1 and decides p1's batch (it includes the message) — the
-        // proposer tag is p1, so coord_first stays p1... unless p1 has
-        // nothing pending and p2's proposal wins. Simply assert the
-        // tag mechanism: after a decision the next instance's config
-        // starts at the decided proposer.
-        let mut queue = Vec::new();
-        let mut delivered = vec![Vec::new(); 3];
-        let mut out = Vec::new();
-        ns[1].broadcast(5, &mut out);
-        route(1, out, 3, &mut queue, &mut delivered);
-        drive(&mut ns, queue);
-        for n in &ns {
-            assert_eq!(n.instance(), 2, "all advanced");
-        }
-    }
-
     #[test]
     fn without_renumbering_keeps_ring_order() {
         let s = SuspectSet::new();
         let a = FdAbcast::<u32>::new(Pid::new(0), 3, &s).without_renumbering();
         assert!(!a.renumbering);
-    }
-
-    /// Routes among p1 ↔ p2 only; traffic addressed to p3 is captured
-    /// for manual replay (p3 is cut off and lagging).
-    fn route_capture(
-        from: usize,
-        out: Vec<A>,
-        queue: &mut Vec<(usize, usize, FdCastMsg<u32>)>,
-        to_p3: &mut Vec<(usize, FdCastMsg<u32>)>,
-        delivered: &mut [Vec<(MsgId, u32)>],
-    ) {
-        for a in out {
-            match a {
-                FdCastAction::Send(to, m) => {
-                    if to.index() == 2 {
-                        to_p3.push((from, m));
-                    } else {
-                        queue.push((from, to.index(), m));
-                    }
-                }
-                FdCastAction::Multicast(m) => {
-                    for to in 0..3 {
-                        if to == from {
-                            continue;
-                        }
-                        if to == 2 {
-                            to_p3.push((from, m.clone()));
-                        } else {
-                            queue.push((from, to, m.clone()));
-                        }
-                    }
-                }
-                FdCastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
-            }
-        }
-    }
-
-    /// Regression for a total-order violation found by the schedule
-    /// explorer (`study::explore`): a lagging process buffers early
-    /// consensus traffic per instance in `future`. Draining that
-    /// buffer can *decide* the instance and chain-advance `k`; the
-    /// remaining buffered messages — here a second copy of the
-    /// instance's decision, as the relay produces — must still go to
-    /// the instance they were buffered for. Before the fix they were
-    /// fed to the new current instance, which then "decided" with the
-    /// old instance's value and silently diverged from the group.
-    #[test]
-    fn buffered_duplicate_decision_stays_in_its_instance() {
-        let mut ns = nodes(3);
-        let mut to_p3: Vec<(usize, FdCastMsg<u32>)> = Vec::new();
-        let mut delivered = vec![Vec::new(); 3];
-        // Instances 1 and 2 decide among p1 and p2 while p3 hears
-        // nothing (quorum 2 of 3 suffices).
-        for (origin, v) in [(0usize, 10u32), (1, 20)] {
-            let mut out = Vec::new();
-            ns[origin].broadcast(v, &mut out);
-            let mut queue = Vec::new();
-            route_capture(origin, out, &mut queue, &mut to_p3, &mut delivered);
-            let mut steps = 0;
-            while !queue.is_empty() {
-                steps += 1;
-                assert!(steps < 100_000, "no quiescence");
-                let (from, to, m) = queue.remove(0);
-                let mut out = Vec::new();
-                ns[to].on_message(Pid::new(from), m, &mut out);
-                route_capture(to, out, &mut queue, &mut to_p3, &mut delivered);
-            }
-        }
-        assert_eq!(ns[0].instance(), 3);
-        assert_eq!(ns[0].delivered_log(), ns[1].delivered_log());
-        assert_eq!(ns[0].delivered_log().len(), 2);
-
-        // What the wire holds for p3: the rb payloads and each
-        // instance's decision.
-        let datas: Vec<(usize, FdCastMsg<u32>)> = to_p3
-            .iter()
-            .filter(|(_, m)| matches!(m, FdCastMsg::Data(_)))
-            .cloned()
-            .collect();
-        let decide = |k: u64| {
-            to_p3
-                .iter()
-                .find(|(_, m)| {
-                    matches!(
-                        m,
-                        FdCastMsg::Cons { k: kk, inner: ConsensusMsg::Decide(_) } if *kk == k
-                    )
-                })
-                .cloned()
-                .unwrap_or_else(|| panic!("instance {k}'s decision crossed the wire"))
-        };
-        let (f1, d1) = decide(1);
-        let (f2, d2) = decide(2);
-
-        // p3 receives the payloads, A-broadcasts one of its own (so it
-        // keeps something pending), then gets instance 2's decision
-        // twice — multicast plus relay copy — while still at instance
-        // 1, and finally instance 1's decision.
-        let mut out = Vec::new();
-        for (from, m) in datas {
-            ns[2].on_message(Pid::new(from), m, &mut out);
-        }
-        ns[2].broadcast(30, &mut out);
-        ns[2].on_message(Pid::new(f2), d2.clone(), &mut out);
-        ns[2].on_message(Pid::new(f2), d2, &mut out);
-        ns[2].on_message(Pid::new(f1), d1, &mut out);
-
-        // p3 catches up in the group's exact order …
-        let p3_deliveries: Vec<MsgId> = out
-            .iter()
-            .filter_map(|a| match a {
-                FdCastAction::Deliver { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(p3_deliveries, ns[0].delivered_log());
-        assert_eq!(ns[2].delivered_log(), ns[0].delivered_log());
-        // … and the duplicate decision copy must not have fabricated a
-        // decision for instance 3 (whose real batch is still open).
-        assert_eq!(
-            ns[2].instance(),
-            3,
-            "a duplicate buffered decision must stay in its own instance"
-        );
-        assert_eq!(ns[2].pending(), 1, "p3's own broadcast is still undecided");
-    }
-
-    #[test]
-    fn duplicate_data_is_idempotent() {
-        let mut ns = nodes(3);
-        let mut out = Vec::new();
-        ns[0].broadcast(9, &mut out);
-        // Extract the Data multicast and deliver it twice to p2.
-        let data = out
-            .iter()
-            .find_map(|a| match a {
-                FdCastAction::Multicast(m @ FdCastMsg::Data(_)) => Some(m.clone()),
-                _ => None,
-            })
-            .expect("data multicast");
-        let mut out1 = Vec::new();
-        ns[1].on_message(Pid::new(0), data.clone(), &mut out1);
-        assert_eq!(ns[1].pending(), 1);
-        let mut out2 = Vec::new();
-        ns[1].on_message(Pid::new(0), data, &mut out2);
-        assert!(out2.is_empty(), "duplicate ignored: {out2:?}");
-        assert_eq!(ns[1].pending(), 1);
-    }
-
-    #[test]
-    fn suspicion_relays_pending_payloads() {
-        let mut ns = nodes(3);
-        let mut out = Vec::new();
-        ns[0].broadcast(9, &mut out);
-        let data = out
-            .iter()
-            .find_map(|a| match a {
-                FdCastAction::Multicast(m @ FdCastMsg::Data(_)) => Some(m.clone()),
-                _ => None,
-            })
-            .expect("data multicast");
-        let mut out1 = Vec::new();
-        ns[1].on_message(Pid::new(0), data, &mut out1);
-        let mut out_fd = Vec::new();
-        ns[1].on_fd(FdEvent::Suspect(Pid::new(0)), &mut out_fd);
-        assert!(
-            out_fd
-                .iter()
-                .any(|a| matches!(a, FdCastAction::Multicast(FdCastMsg::Data(_)))),
-            "pending payload from the suspect is relayed: {out_fd:?}"
-        );
     }
 }

@@ -5,7 +5,10 @@
 //!
 //! * [`FdAbcast`] / [`FdNode`] — the **FD algorithm**: Chandra–Toueg
 //!   atomic broadcast by reduction to a sequence of ♦S consensus
-//!   instances; unreliable failure detectors are used directly.
+//!   instances; unreliable failure detectors are used directly. What
+//!   consensus orders is a [`Strategy`]: [`Bodies`] (the paper's
+//!   payload-carrying batches) by default; the `ringpaxos` crate
+//!   plugs in ids only.
 //! * [`GmAbcast`] / [`GmNode`] — the **GM algorithm**: fixed-sequencer
 //!   total order; a group-membership service (view synchrony) handles
 //!   crashes and suspicions. The non-uniform variant of the paper's
@@ -40,6 +43,9 @@ mod node;
 
 pub use batch::{BatchConfig, Batched, Batcher, Pack};
 pub use common::{AbcastEvent, MsgId, Payload};
-pub use fd::{Batch, FdAbcast, FdCastAction, FdCastMsg};
+pub use fd::{
+    Actions, Batch, Bodies, CastAction, CastMsg, FdAbcast, FdCastAction, FdCastMsg, Local, Pending,
+    Repair, Strategy,
+};
 pub use gm::{Bundle, GmAbcast, GmCastAction, GmCastMsg, Uniformity, NONUNIFORM_ACK_EVERY};
-pub use node::{DeliveredEvent, FdNode, GmNode, RETRY_INTERVAL, STALL_PROBE_INTERVAL};
+pub use node::{FdNode, GmNode, RETRY_INTERVAL, STALL_PROBE_INTERVAL};

@@ -6,8 +6,8 @@
 
 use neko::{Ctx, Dur, FdEvent, Message, Pid, Process, TimerId};
 
-use crate::common::{AbcastEvent, MsgId, Payload};
-use crate::fd::{FdAbcast, FdCastAction, FdCastMsg};
+use crate::common::{AbcastEvent, Payload};
+use crate::fd::{Actions, Bodies, CastAction, FdAbcast, Strategy};
 use crate::gm::{GmAbcast, GmCastAction, GmCastMsg, Uniformity};
 
 /// How often an excluded process re-sends its join request, and a
@@ -45,11 +45,6 @@ fn probe_interval(n: usize) -> Dur {
     } else {
         Dur::from_millis(2 * n as u64)
     }
-}
-
-impl<P: Payload> Message for FdCastMsg<P> {
-    // Consensus aggregates whole batches per instance; no wire-level
-    // coalescing is needed (or used by the paper) for the FD side.
 }
 
 impl<P: Payload> Message for GmCastMsg<P> {
@@ -98,11 +93,12 @@ impl<P: Payload> Message for GmCastMsg<P> {
 }
 
 /// A process running the **FD algorithm** (Chandra–Toueg atomic
-/// broadcast). Commands are payloads to A-broadcast; outputs are
-/// A-deliveries.
+/// broadcast), or any other instance of its reduction: the strategy
+/// `S` picks what consensus orders. Commands are payloads to
+/// A-broadcast; outputs are A-deliveries.
 #[derive(Debug)]
-pub struct FdNode<P: Payload> {
-    inner: FdAbcast<P>,
+pub struct FdNode<P: Payload, S: Strategy<P> = Bodies> {
+    inner: FdAbcast<P, S>,
     probe_timer: Option<TimerId>,
     /// Stall-probe period, scaled to the group size (see
     /// [`probe_interval`]).
@@ -111,10 +107,18 @@ pub struct FdNode<P: Payload> {
     /// computed once instead of per handler call.
     others: Vec<Pid>,
     /// Reused action buffer (cleared between handler calls).
-    actions: Vec<FdCastAction<P>>,
+    actions: Actions<S, P>,
 }
 
 impl<P: Payload> FdNode<P> {
+    /// Disables the coordinator-renumbering optimisation (ablation).
+    pub fn without_renumbering(mut self) -> Self {
+        self.inner = self.inner.without_renumbering();
+        self
+    }
+}
+
+impl<P: Payload, S: Strategy<P>> FdNode<P, S> {
     /// Creates the node; `suspects_at_start` seeds the failure
     /// detector output for crash-steady scenarios.
     pub fn new(me: Pid, n: usize, suspects_at_start: &fdet::SuspectSet) -> Self {
@@ -127,34 +131,27 @@ impl<P: Payload> FdNode<P> {
         }
     }
 
-    fn arm_probe(&mut self, ctx: &mut dyn Ctx<FdCastMsg<P>, AbcastEvent<P>>) {
+    fn arm_probe(&mut self, ctx: &mut dyn Ctx<S::Msg, AbcastEvent<P>>) {
         if let Some(id) = self.probe_timer.take() {
             ctx.cancel_timer(id);
         }
         self.probe_timer = Some(ctx.set_timer(self.probe_after, TAG_STALL_PROBE));
     }
 
-    /// Disables the coordinator-renumbering optimisation (ablation).
-    pub fn without_renumbering(mut self) -> Self {
-        self.inner = self.inner.without_renumbering();
-        self
-    }
-
-    /// The wrapped state machine (inspection in tests/examples).
-    pub fn algorithm(&self) -> &FdAbcast<P> {
-        &self.inner
-    }
-
-    fn run(
+    /// Runs one step of the state machine and carries out the actions
+    /// it queued, reusing the action buffer across calls.
+    fn handle(
         &mut self,
-        mut actions: Vec<FdCastAction<P>>,
-        ctx: &mut dyn Ctx<FdCastMsg<P>, AbcastEvent<P>>,
+        ctx: &mut dyn Ctx<S::Msg, AbcastEvent<P>>,
+        step: impl FnOnce(&mut FdAbcast<P, S>, &mut Actions<S, P>),
     ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        step(&mut self.inner, &mut actions);
         for a in actions.drain(..) {
             match a {
-                FdCastAction::Send(to, m) => ctx.send(to, m),
-                FdCastAction::Multicast(m) => ctx.multicast(&self.others, m),
-                FdCastAction::Deliver { id, payload } => {
+                CastAction::Send(to, m) => ctx.send(to, m),
+                CastAction::Multicast(m) => ctx.multicast(&self.others, m),
+                CastAction::Deliver { id, payload } => {
                     ctx.emit(AbcastEvent::Delivered { id, payload })
                 }
             }
@@ -164,8 +161,8 @@ impl<P: Payload> FdNode<P> {
     }
 }
 
-impl<P: Payload> Process for FdNode<P> {
-    type Msg = FdCastMsg<P>;
+impl<P: Payload, S: Strategy<P>> Process for FdNode<P, S> {
+    type Msg = S::Msg;
     type Cmd = P;
     type Out = AbcastEvent<P>;
 
@@ -181,29 +178,25 @@ impl<P: Payload> Process for FdNode<P> {
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, id: TimerId, tag: u64) {
         if tag == TAG_STALL_PROBE && self.probe_timer == Some(id) {
-            let mut out = std::mem::take(&mut self.actions);
-            self.inner.stall_probe(&mut out);
+            // The probe only queues actions, so re-arming first keeps
+            // the timer ahead of the probe's sends.
             self.arm_probe(ctx);
-            self.run(out, ctx);
+            self.handle(ctx, FdAbcast::stall_probe);
         }
     }
 
     fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: P) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.broadcast(cmd, &mut out);
-        self.run(out, ctx);
+        self.handle(ctx, |a, out| {
+            a.broadcast(cmd, out);
+        });
     }
 
     fn on_message(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, from: Pid, msg: Self::Msg) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.on_message(from, msg, &mut out);
-        self.run(out, ctx);
+        self.handle(ctx, |a, out| a.on_message(from, msg, out));
     }
 
     fn on_fd(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, ev: FdEvent) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.on_fd(ev, &mut out);
-        self.run(out, ctx);
+        self.handle(ctx, |a, out| a.on_fd(ev, out));
     }
 }
 
@@ -350,14 +343,18 @@ impl<P: Payload> Process for GmNode<P> {
     }
 }
 
-/// A latency-comparison note: [`MsgId`] is shared by both nodes, so the
-/// experiment harness can track any broadcast through either algorithm
-/// with the same key.
-pub type DeliveredEvent<P> = (MsgId, P);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::MsgId;
+    use crate::fd::FdCastMsg;
+
+    #[test]
+    fn probe_interval_scales_past_the_historical_range() {
+        assert_eq!(probe_interval(3), Dur::from_millis(50));
+        assert_eq!(probe_interval(64), Dur::from_millis(50));
+        assert_eq!(probe_interval(128), Dur::from_millis(256));
+    }
 
     #[test]
     fn gm_messages_merge_per_kind_and_view() {

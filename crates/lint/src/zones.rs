@@ -109,7 +109,7 @@ mod tests {
             ("crates/membership/src/view.rs", Zone::Protocol),
             ("crates/fd/src/suspect.rs", Zone::Protocol),
             ("crates/rbcast/src/lib.rs", Zone::Protocol),
-            ("crates/ringpaxos/src/machine.rs", Zone::Protocol),
+            ("crates/ringpaxos/src/strategy.rs", Zone::Protocol),
             ("crates/neko/src/kernel.rs", Zone::Sim),
             ("crates/neko/src/wheel.rs", Zone::Sim),
             ("crates/neko/src/real.rs", Zone::Runtime),

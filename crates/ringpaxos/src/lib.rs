@@ -9,13 +9,18 @@
 //! (crash, partition, or a lagging process catching up from a
 //! decision served by the stall probe).
 //!
-//! * Dissemination and ordering reuse the proven machinery of the
-//!   paper's FD algorithm verbatim: `rbcast` data dissemination and a
-//!   sequence of Chandra–Toueg ♦S [`consensus`] instances with the
-//!   coordinator-renumbering optimisation. In suspicion-free runs the
-//!   message *pattern* is therefore identical to the FD algorithm —
-//!   the simulator's cost model charges per message, not per byte, so
-//!   the compact ids change what crosses the wire, not when.
+//! * The ring *is* the FD algorithm's reduction with an ids-only
+//!   consensus value: [`RingAbcast`] and [`RingNode`] are
+//!   [`abcast::FdAbcast`] and [`abcast::FdNode`] instantiated with the
+//!   [`Ring`] strategy, so `rbcast` data dissemination, the sequence
+//!   of Chandra–Toueg ♦S [`consensus`] instances with the
+//!   coordinator-renumbering optimisation, the stall probe and the
+//!   node shell are the FD algorithm's own code. This crate holds
+//!   only what differs: the [`IdBatch`] value, the wire format, and
+//!   the payload repair. In suspicion-free runs the message *pattern*
+//!   is therefore identical to the FD algorithm — the simulator's
+//!   cost model charges per message, not per byte, so the compact ids
+//!   change what crosses the wire, not when.
 //! * The ring is the repair path: [`ring_members`] picks the f+1
 //!   acceptors from the failure detector's current output (rotated by
 //!   the same `coord_first` the renumbering maintains, so coordinator
@@ -42,10 +47,8 @@
 // attribute makes the same invariant compiler-enforced.
 #![forbid(unsafe_code)]
 
-mod machine;
-mod node;
 mod ring;
+mod strategy;
 
-pub use machine::{IdBatch, RingAbcast, RingAction, RingMsg};
-pub use node::RingNode;
 pub use ring::{ring_members, ring_size, ring_successor};
+pub use strategy::{IdBatch, Ring, RingAbcast, RingAction, RingMsg, RingNode};
