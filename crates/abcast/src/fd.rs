@@ -144,7 +144,8 @@ pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
     fn missing(_value: &Self::Value, _: &Pending<P>, _: &BTreeSet<MsgId>) -> Vec<MsgId> {
         Vec::new()
     }
-    /// A payload body arrived by reliable broadcast.
+    /// A payload body arrived by reliable broadcast (the FD self-check
+    /// mutation records arrival order here).
     fn on_body(&mut self, _id: MsgId) {}
     /// Handles one of the strategy's own messages; returns the bodies
     /// it recovered.
@@ -411,6 +412,8 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
                 // covers our side.
             }
             Err(own) => {
+                // The strategy's own traffic: bodies it recovers may
+                // unblock the head decision.
                 let (strategy, at) = self.parts();
                 let bodies = strategy.on_message(&at, own, out);
                 if !bodies.is_empty() {

@@ -91,8 +91,10 @@ pub struct Ring<P> {
     /// by the run length, like the reduction's decided-instance map —
     /// the study's runs are seconds of simulated time.
     archive: BTreeMap<MsgId, P>,
-    /// Ids with a fetch in flight (cleared each probe tick, so lost
-    /// fetches are retried at probe cadence without flooding).
+    /// Undelivered ids with a fetch in flight (cleared each probe
+    /// tick, so lost fetches are retried at probe cadence without
+    /// flooding). An id whose body arrived is never missing again, so
+    /// its entry only has to go by the time it is delivered.
     fetching: BTreeSet<MsgId>,
     /// Rotates the fetch entry point across re-issues: origin first,
     /// then around the ring, then everyone else.
@@ -159,16 +161,13 @@ impl<P: Payload> Strategy<P> for Ring<P> {
             .into_iter()
             .filter_map(|id| {
                 let p = pending.remove(&id)?;
+                self.fetching.remove(&id);
                 // Retain the body: a laggard applying this decision
                 // later fetches it from us.
                 self.archive.insert(id, p.clone());
                 Some((id, p))
             })
             .collect()
-    }
-
-    fn on_body(&mut self, id: MsgId) {
-        self.fetching.remove(&id);
     }
 
     fn on_message(
@@ -186,12 +185,7 @@ impl<P: Payload> Strategy<P> for Ring<P> {
                 self.on_fetch(at, requester, ids, ttl, out);
                 Vec::new()
             }
-            RingMsg::Fwd { msgs } => {
-                for (id, _) in &msgs {
-                    self.fetching.remove(id);
-                }
-                msgs
-            }
+            RingMsg::Fwd { msgs } => msgs,
             // The reduction's own traffic never reaches the strategy.
             RingMsg::Data(_) | RingMsg::Cons { .. } | RingMsg::Nudge { .. } => Vec::new(),
         }

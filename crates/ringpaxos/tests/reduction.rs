@@ -45,61 +45,32 @@ fn drive<S: Strategy<u32>>(
         let (from, to, m) = queue.remove(0);
         let mut out = Vec::new();
         nodes[to].on_message(Pid::new(from), m, &mut out);
-        route(to, out, n, &mut queue, &mut delivered);
+        route(to, out, n, &mut queue, None, &mut delivered);
     }
     delivered
 }
 
+/// Routes actions onto the FIFO wire and records deliveries. With
+/// `cut`, traffic addressed to p3 is captured there for manual replay
+/// instead (p3 is cut off and lagging).
 fn route<M: Clone>(
     from: usize,
     out: Vec<CastAction<M, u32>>,
     n: usize,
     queue: &mut Queue<M>,
+    mut cut: Option<&mut Vec<(usize, M)>>,
     delivered: &mut [Vec<(MsgId, u32)>],
 ) {
+    let mut push = |to: usize, m: M| match cut.as_deref_mut() {
+        Some(to_p3) if to == 2 => to_p3.push((from, m)),
+        _ => queue.push((from, to, m)),
+    };
     for a in out {
         match a {
-            CastAction::Send(to, m) => queue.push((from, to.index(), m)),
+            CastAction::Send(to, m) => push(to.index(), m),
             CastAction::Multicast(m) => {
-                for to in 0..n {
-                    if to != from {
-                        queue.push((from, to, m.clone()));
-                    }
-                }
-            }
-            CastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
-        }
-    }
-}
-
-/// Routes among p1 ↔ p2 only; traffic addressed to p3 is captured
-/// for manual replay (p3 is cut off and lagging).
-fn route_capture<M: Clone>(
-    from: usize,
-    out: Vec<CastAction<M, u32>>,
-    queue: &mut Queue<M>,
-    to_p3: &mut Vec<(usize, M)>,
-    delivered: &mut [Vec<(MsgId, u32)>],
-) {
-    for a in out {
-        match a {
-            CastAction::Send(to, m) => {
-                if to.index() == 2 {
-                    to_p3.push((from, m));
-                } else {
-                    queue.push((from, to.index(), m));
-                }
-            }
-            CastAction::Multicast(m) => {
-                for to in 0..3 {
-                    if to == from {
-                        continue;
-                    }
-                    if to == 2 {
-                        to_p3.push((from, m.clone()));
-                    } else {
-                        queue.push((from, to, m.clone()));
-                    }
+                for to in (0..n).filter(|&to| to != from) {
+                    push(to, m.clone());
                 }
             }
             CastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
@@ -119,7 +90,7 @@ fn decide_without_p3<S: Strategy<u32>>(
         let mut out = Vec::new();
         ns[origin].broadcast(v, &mut out);
         let mut queue = Vec::new();
-        route_capture(origin, out, &mut queue, &mut to_p3, &mut delivered);
+        route(origin, out, 3, &mut queue, Some(&mut to_p3), &mut delivered);
         let mut steps = 0;
         while !queue.is_empty() {
             steps += 1;
@@ -127,7 +98,7 @@ fn decide_without_p3<S: Strategy<u32>>(
             let (from, to, m) = queue.remove(0);
             let mut out = Vec::new();
             ns[to].on_message(Pid::new(from), m, &mut out);
-            route_capture(to, out, &mut queue, &mut to_p3, &mut delivered);
+            route(to, out, 3, &mut queue, Some(&mut to_p3), &mut delivered);
         }
     }
     to_p3
@@ -139,7 +110,7 @@ fn single_broadcast_delivered_everywhere_in_same_order<S: Strategy<u32>>() {
     let id = ns[1].broadcast(77, &mut out);
     let mut queue = Vec::new();
     let mut delivered = vec![Vec::new(); 3];
-    route(1, out, 3, &mut queue, &mut delivered);
+    route(1, out, 3, &mut queue, None, &mut delivered);
     let more = drive(&mut ns, queue);
     for (i, d) in more.iter().enumerate() {
         let mut all = delivered[i].clone();
@@ -160,7 +131,7 @@ fn concurrent_broadcasts_are_totally_ordered<S: Strategy<u32>>() {
     for (i, n) in ns.iter_mut().enumerate() {
         let mut out = Vec::new();
         n.broadcast(10 + i as u32, &mut out);
-        route(i, out, 3, &mut queue, &mut delivered);
+        route(i, out, 3, &mut queue, None, &mut delivered);
     }
     let more = drive(&mut ns, queue);
     let mut logs: Vec<Vec<(MsgId, u32)>> = Vec::new();
@@ -184,7 +155,7 @@ fn back_to_back_broadcasts_all_ordered<S: Strategy<u32>>() {
     for v in [1u32, 2u32, 3u32] {
         let mut out = Vec::new();
         ns[0].broadcast(v, &mut out);
-        route(0, out, 3, &mut queue, &mut delivered);
+        route(0, out, 3, &mut queue, None, &mut delivered);
     }
     let more = drive(&mut ns, queue);
     for i in 0..3 {
@@ -403,7 +374,7 @@ fn missing_payload_is_fetched_and_delivery_stays_in_order() {
     // group's exact log.
     let mut queue = Vec::new();
     let mut delivered = vec![Vec::new(); 3];
-    route(2, out, 3, &mut queue, &mut delivered);
+    route(2, out, 3, &mut queue, None, &mut delivered);
     drive(&mut ns, queue);
     assert_eq!(
         ns[2].delivered_log(),
