@@ -22,6 +22,7 @@
 //! payloads. The `ringpaxos` crate instantiates the same reduction
 //! with a strategy that orders ids only and repairs missing bodies.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -535,8 +536,8 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     fn ensure_instance(&mut self, out: &mut Actions<S, P>) {
         let k = self.k;
         let inst = match self.instances.entry(k) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
                 if self.pending.is_empty() {
                     return;
                 }

@@ -91,7 +91,7 @@ pub struct Ring<P> {
     /// by the run length, like the reduction's decided-instance map —
     /// the study's runs are seconds of simulated time.
     archive: BTreeMap<MsgId, P>,
-    /// Undelivered ids with a fetch in flight (cleared each probe
+    /// Undelivered ids a fetch was issued for (cleared each probe
     /// tick, so lost fetches are retried at probe cadence without
     /// flooding). An id whose body arrived is never missing again, so
     /// its entry only has to go by the time it is delivered.
