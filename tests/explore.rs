@@ -96,6 +96,44 @@ fn explorer_verdicts_are_reproducible_from_the_tuple_alone() {
     }
 }
 
+/// Verdicts pinned by value: `delivered` of the first twelve tuples
+/// of each algorithm at the CI explorer seed. Index 11 is the n = 64
+/// class. A change to how a tuple is built, scheduled or judged moves
+/// these counts.
+#[cfg(not(feature = "mutation-skip-tiebreak"))]
+#[test]
+fn explorer_verdicts_are_pinned() {
+    use study::explore::Verdict;
+    let e = Explorer::new(0x5EED);
+    let golden: [(Algorithm, [usize; 12]); 4] = [
+        (
+            Algorithm::Fd,
+            [78, 81, 73, 90, 105, 74, 97, 96, 96, 107, 82, 6],
+        ),
+        (
+            Algorithm::FdNoRenumber,
+            [89, 116, 96, 81, 99, 109, 100, 77, 88, 72, 102, 12],
+        ),
+        (
+            Algorithm::Gm,
+            [91, 80, 105, 97, 98, 88, 79, 93, 98, 91, 83, 4],
+        ),
+        (
+            Algorithm::Ring,
+            [79, 95, 85, 92, 95, 62, 91, 84, 82, 89, 87, 11],
+        ),
+    ];
+    for (alg, delivered) in golden {
+        for (index, &d) in delivered.iter().enumerate() {
+            assert_eq!(
+                run_tuple(&e.tuple(alg, index)),
+                Verdict::Pass { delivered: d },
+                "{alg:?}/{index}"
+            );
+        }
+    }
+}
+
 /// Run-context recycling (`study::set_run_scratch`) must be invisible
 /// in results: every verdict and every sweep statistic is a pure
 /// function of the tuple/point, whether the kernel was built fresh or

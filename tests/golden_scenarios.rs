@@ -420,6 +420,93 @@ fn batched_suspicion_steady_is_pinned() {
     );
 }
 
+/// Golden per-replication samples with the wire count: `(mean latency
+/// bits, measured, undelivered, wire messages)`.
+fn check_wire(
+    script: &FaultScript,
+    params: &RunParams,
+    alg: Algorithm,
+    golden: &[(u64, u64, u64, u64)],
+) {
+    let out = run_replicated(alg, script, params, SEED);
+    let got: Vec<(u64, u64, u64, u64)> = out
+        .runs
+        .iter()
+        .map(|r| {
+            (
+                r.mean_latency_ms.map(f64::to_bits).unwrap_or(0),
+                r.measured,
+                r.undelivered,
+                r.net.wire_messages,
+            )
+        })
+        .collect();
+    assert_eq!(got, golden, "{alg:?}");
+}
+
+/// The ablation variants under wrong suspicions, unbatched and
+/// batched. Without renumbering, FD's replication 2 parts from the
+/// renumbering pin in `suspicion_steady_matches_enum_path`
+/// (0x402b324d81804ee9, 997 wire messages), so the pin covers the
+/// ablation itself. Batched, the two FD variants coincide.
+#[test]
+fn fd_no_renumber_is_pinned() {
+    let qos = fdet::QosParams::new()
+        .with_mistake_recurrence(Dur::from_millis(500))
+        .with_mistake_duration(Dur::from_millis(10));
+    check_wire(
+        &FaultScript::suspicion_steady(qos),
+        &quick(3, 100.0),
+        Algorithm::FdNoRenumber,
+        &[
+            (0x402c52b6d768de19, 205, 0, 1034),
+            (0x402b17be4e1006b2, 206, 0, 994),
+            (0x402c2c24038e15ba, 212, 0, 1035),
+        ],
+    );
+    let qos = qos.with_mistake_recurrence(Dur::from_secs(1));
+    check_wire(
+        &FaultScript::suspicion_steady(qos),
+        &batched(12_800.0),
+        Algorithm::FdNoRenumber,
+        &[
+            (0x40352547b11633cb, 25807, 0, 3364),
+            (0x4034bafdab41d3bd, 25442, 0, 3306),
+            (0x4034a9008da30d39, 25830, 0, 3307),
+        ],
+    );
+}
+
+/// Non-uniform GM (the paper's Section 8 variant) under wrong
+/// suspicions, unbatched and batched.
+#[test]
+fn gm_non_uniform_is_pinned() {
+    let qos = fdet::QosParams::new()
+        .with_mistake_recurrence(Dur::from_millis(500))
+        .with_mistake_duration(Dur::from_millis(10));
+    check_wire(
+        &FaultScript::suspicion_steady(qos),
+        &quick(3, 100.0),
+        Algorithm::GmNonUniform,
+        &[
+            (0x402cf192f76b1af9, 205, 0, 1377),
+            (0x40230730bc04b14a, 206, 0, 1380),
+            (0x4029ba7be27a56c7, 212, 0, 1412),
+        ],
+    );
+    let qos = qos.with_mistake_recurrence(Dur::from_secs(1));
+    check_wire(
+        &FaultScript::suspicion_steady(qos),
+        &batched(12_800.0),
+        Algorithm::GmNonUniform,
+        &[
+            (0x406df4ff9c64591c, 25807, 0, 4325),
+            (0x406ce3f8e423666f, 25442, 0, 4794),
+            (0x40694208dfb63136, 25830, 0, 4765),
+        ],
+    );
+}
+
 /// The saturation search over the batched stacks pins `T*` and the
 /// whole probe trail.
 #[test]
