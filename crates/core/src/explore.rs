@@ -35,27 +35,24 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use abcast::{AbcastEvent, FdNode, GmNode, Uniformity};
 use fdet::QosParams;
-use neko::{
-    derive_seed, stream_rng, DestSet, Dur, NetParams, NetworkModel, Pid, Process, Schedule,
-    SimBuilder, Time,
-};
+use neko::{derive_seed, stream_rng, DestSet, Dur, NetworkModel, Pid, Schedule, Time};
 use rand::RngCore;
-use ringpaxos::RingNode;
 
-use crate::oracle::{self, DeliveryLog, Expectations, Violation};
-use crate::runner::{down_intervals, parallel_map, sweep_workers, Algorithm};
-use crate::script::{FaultEvent, FaultScript, ScriptAction, ScriptTime};
+use crate::oracle::{self, Expectations, Violation};
+use crate::runner::{down_intervals, parallel_map, sweep_workers, Algorithm, Execution, RunParams};
+use crate::script::{CompiledScript, FaultEvent, FaultScript, ScriptAction, ScriptTime};
 use crate::workload::poisson_arrivals;
 
 /// One fuzz case: everything that determines a run, so a stored tuple
 /// replays bit-identically.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tuple {
-    /// The algorithm under test (uniform variants — the oracle's
-    /// total-order check holds every process's log to the common
-    /// prefix, which non-uniform GM deliberately relaxes).
+    /// The algorithm under test. Only uniform variants are judged
+    /// soundly: the oracle's total-order check holds every process's
+    /// log to the common prefix, which non-uniform GM deliberately
+    /// relaxes, so [`Explorer::with_algorithms`] rejects
+    /// [`Algorithm::GmNonUniform`].
     pub alg: Algorithm,
     /// Group size.
     pub n: usize,
@@ -207,8 +204,18 @@ impl Explorer {
     }
 
     /// Restricts the algorithms explored (uniform variants only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `algorithms` is empty or names
+    /// [`Algorithm::GmNonUniform`], whose relaxed delivery the
+    /// uniform oracle would report as a total-order violation.
     pub fn with_algorithms(mut self, algorithms: &[Algorithm]) -> Self {
         assert!(!algorithms.is_empty(), "need at least one algorithm");
+        assert!(
+            !algorithms.contains(&Algorithm::GmNonUniform),
+            "the oracle judges uniform variants only"
+        );
         self.algorithms = algorithms.to_vec();
         self
     }
@@ -568,76 +575,37 @@ fn halve_times(ev: &mut FaultEvent) -> bool {
 /// always produces the same verdict (the simulation, the workload and
 /// the schedule policy are all functions of the tuple's seeds).
 pub fn run_tuple(t: &Tuple) -> Verdict {
+    let params = RunParams::new(t.n, t.throughput)
+        .with_warmup(Dur::ZERO)
+        .with_measure(t.horizon)
+        .with_drain(t.drain)
+        .with_network_model(t.topology)
+        .with_schedule(t.schedule);
     let end = Time::ZERO + t.horizon + t.drain;
     let compiled = t.script.compile(t.n, Dur::ZERO, end, t.seed);
-    let horizon = Time::ZERO + t.horizon;
     let senders: Vec<Pid> = Pid::all(t.n).collect();
     let arrivals = poisson_arrivals(
         t.n,
         t.throughput,
-        horizon,
+        Time::ZERO + t.horizon,
         &senders,
         derive_seed(t.seed, 0xE791),
     );
-    let initial = compiled.initial_suspects().clone();
-    let n = t.n;
-    // Whether a live GM process ends wedged in a view change of a
-    // view that has lost its quorum: the view-change consensus runs
-    // among the closing view's members, so once wrong exclusions
-    // shrink the view and real crashes take half of what is left, no
-    // further view can ever install — the GM model's inherent
-    // primary-partition limit (the paper's Section 4.3 hazard), not
-    // an implementation bug. Safety still holds and is still checked;
-    // the completeness deadline is waived for such runs.
-    let gm_quorum_collapsed = |sim: &neko::Sim<abcast::GmNode<u64>>| {
-        Pid::all(sim.n()).any(|p| {
-            if sim.is_crashed(p) {
-                return false;
-            }
-            let a = sim.process(p).algorithm();
-            let live = a
-                .view()
-                .members()
-                .iter()
-                .filter(|m| !sim.is_crashed(**m))
-                .count();
-            a.in_view_change() && live < a.view().majority()
-        })
-    };
-    let (logs, collapsed) = match t.alg {
-        Algorithm::Fd => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| FdNode::<u64>::new(p, n, &initial),
-        ),
-        Algorithm::FdNoRenumber => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| FdNode::<u64>::new(p, n, &initial).without_renumbering(),
-        ),
-        Algorithm::Gm => drive(t, &compiled, &arrivals, end, gm_quorum_collapsed, |p| {
-            GmNode::<u64>::new(p, n, &initial)
-        }),
-        Algorithm::GmNonUniform => drive(t, &compiled, &arrivals, end, gm_quorum_collapsed, |p| {
-            GmNode::<u64>::with_uniformity(p, n, &initial, Uniformity::NonUniform)
-        }),
-        Algorithm::Ring => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| RingNode::<u64>::new(p, n, &initial),
-        ),
-    };
+    let run = Execution {
+        params: &params,
+        seed: t.seed,
+        end,
+        compiled: &compiled,
+        arrivals: &arrivals,
+        arrivals_first: false,
+    }
+    .run(t.alg);
+    let logs = oracle::delivery_logs(t.n, run.outputs);
     let mut exp = expectations(t, &compiled, &arrivals);
-    if collapsed {
+    // A stack wedged for a reason its model permits (GM's lost view
+    // quorum) still owes safety, which is still checked; the
+    // completeness deadline is waived.
+    if run.quorum_collapsed {
         exp.must_deliver.clear();
         exp.correct.clear();
     }
@@ -647,41 +615,6 @@ pub fn run_tuple(t: &Tuple) -> Verdict {
         },
         Err(v) => Verdict::Fail(v),
     }
-}
-
-fn drive<P>(
-    t: &Tuple,
-    compiled: &crate::script::CompiledScript,
-    arrivals: &[(Time, Pid, u64)],
-    end: Time,
-    wedged: impl Fn(&neko::Sim<P>) -> bool,
-    factory: impl FnMut(Pid) -> P,
-) -> (Vec<DeliveryLog>, bool)
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
-{
-    // Recycle the previous tuple's kernel allocations parked on this
-    // worker thread; the verdict stays a pure function of the tuple
-    // (see `crate::scratch`).
-    let mut sim = SimBuilder::new(t.n)
-        .seed(t.seed)
-        .network(NetParams::default().with_model(t.topology))
-        .schedule(t.schedule)
-        .build_with_scratch(factory, crate::scratch::take::<P>());
-    for (at, act) in compiled.entries() {
-        match act {
-            ScriptAction::Inject(inj) => sim.schedule_injection(*at, inj.clone()),
-            ScriptAction::Probe(_) => unreachable!("explorer scripts carry no probe"),
-        }
-    }
-    for &(at, p, v) in arrivals {
-        sim.schedule_command(at, p, v);
-    }
-    sim.run_until(end);
-    let collapsed = wedged(&sim);
-    let logs = oracle::delivery_logs(t.n, sim.take_outputs());
-    crate::scratch::put::<P>(sim.into_scratch());
-    (logs, collapsed)
 }
 
 /// Safety margin around a partition window: a message emitted this
@@ -695,7 +628,7 @@ const PARTITION_MARGIN: Dur = Dur::from_millis(200);
 /// delivered, and which processes are held to the completeness bars.
 fn expectations(
     t: &Tuple,
-    compiled: &crate::script::CompiledScript,
+    compiled: &CompiledScript,
     arrivals: &[(Time, Pid, u64)],
 ) -> Expectations {
     let n = t.n;
@@ -920,6 +853,12 @@ mod tests {
             }
             Verdict::Fail(v) => panic!("clean tuple failed: {v}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform variants only")]
+    fn non_uniform_gm_is_not_explored() {
+        let _ = Explorer::new(1).with_algorithms(&[Algorithm::Gm, Algorithm::GmNonUniform]);
     }
 
     #[test]

@@ -53,17 +53,15 @@ pub mod oracle;
 pub mod paper;
 mod runner;
 mod saturate;
-mod scratch;
 mod script;
 mod stats;
 mod workload;
 
 pub use runner::{
-    run_once, run_replicated, run_sweep, run_sweep_with_workers, Algorithm, Backend, RunOutput,
-    RunParams, SingleRun, SweepPoint, DEFAULT_LATENCY_SAMPLE_CAP,
+    run_once, run_replicated, run_sweep, run_sweep_with_workers, set_run_scratch, Algorithm,
+    Backend, RunOutput, RunParams, SingleRun, SweepPoint, DEFAULT_LATENCY_SAMPLE_CAP,
 };
 pub use saturate::{find_saturation, SaturationResult, SaturationSearch};
-pub use scratch::set_run_scratch;
 pub use script::{CompiledScript, FaultEvent, FaultScript, ScriptAction, ScriptTime};
 pub use stats::{Reservoir, Running, Summary};
 pub use workload::{poisson_arrivals, Arrival};

@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Pack, Uniformity};
+use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Pack, Payload, Uniformity};
+use fdet::SuspectSet;
 use neko::{
     derive_seed, Dur, Injection, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig,
     RealRuntime, Runtime, Schedule, Sim, SimBuilder, Time,
@@ -452,6 +453,12 @@ pub fn run_sweep_with_workers(points: &[SweepPoint], workers: usize) -> Vec<RunO
         .collect()
 }
 
+/// Does nothing. It once switched a thread-local pool that carried the
+/// simulator's allocations from one run to the next on a worker
+/// thread; measured, the pool cost memory and bought no measurable
+/// throughput, so it was removed. Kept so existing callers compile.
+pub fn set_run_scratch(_on: bool) {}
+
 /// Runs `replications` independent simulations (in parallel threads)
 /// and aggregates.
 pub fn run_replicated(
@@ -500,209 +507,280 @@ pub fn run_once(alg: Algorithm, script: &FaultScript, params: &RunParams, seed: 
         None => Time::ZERO + params.warmup + params.measure + params.drain,
     };
     let compiled = script.compile(n, params.warmup, end, seed);
-    let initial = compiled.initial_suspects().clone();
-    // With batching on, each node is wrapped in the [`Batched`] shell
-    // and the algorithm itself runs over whole packs; with batching
-    // off the pre-batching factories run unchanged (bit-identically —
-    // the golden tests pin this).
-    match (alg, params.batching) {
-        (Algorithm::Fd, None) => run_impl(
-            |p| FdNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
+    let probe = compiled.entries().iter().find_map(|(t, a)| match a {
+        ScriptAction::Probe(b) => Some((*t, *b)),
+        _ => None,
+    });
+    let ancient = compiled.ancient_crashes();
+    // A probe run loads every process until the end (a crashed
+    // process's post-crash arrivals are dropped by the runtime); a
+    // steady run sends over the measurement window from the processes
+    // that were up at the start.
+    let (horizon, senders): (Time, Vec<Pid>) = match probe {
+        Some((_, broadcaster)) => {
+            assert!(
+                !ancient.contains(&broadcaster),
+                "the probe's broadcaster must be alive"
+            );
+            (end, Pid::all(n).collect())
+        }
+        None => (
+            Time::ZERO + params.warmup + params.measure,
+            Pid::all(n).filter(|p| !ancient.contains(p)).collect(),
         ),
-        (Algorithm::Fd, Some(cfg)) => run_impl(
-            |p| Batched::new(p, FdNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::FdNoRenumber, None) => run_impl(
-            |p| FdNode::<u64>::new(p, n, &initial).without_renumbering(),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::FdNoRenumber, Some(cfg)) => run_impl(
-            |p| {
-                Batched::new(
-                    p,
-                    FdNode::<Pack<u64>>::new(p, n, &initial).without_renumbering(),
-                    cfg,
-                )
-            },
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Gm, None) => run_impl(
-            |p| GmNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Gm, Some(cfg)) => run_impl(
-            |p| Batched::new(p, GmNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::GmNonUniform, None) => run_impl(
-            |p| GmNode::<u64>::with_uniformity(p, n, &initial, Uniformity::NonUniform),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::GmNonUniform, Some(cfg)) => run_impl(
-            |p| {
-                Batched::new(
-                    p,
-                    GmNode::<Pack<u64>>::with_uniformity(p, n, &initial, Uniformity::NonUniform),
-                    cfg,
-                )
-            },
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Ring, None) => run_impl(
-            |p| RingNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Ring, Some(cfg)) => run_impl(
-            |p| Batched::new(p, RingNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
+    };
+    let arrivals = poisson_arrivals(
+        n,
+        params.throughput,
+        horizon,
+        &senders,
+        derive_seed(seed, 0x40AD),
+    );
+    let run = Execution {
+        params,
+        seed,
+        end,
+        compiled: &compiled,
+        arrivals: &arrivals,
+        arrivals_first: probe.is_some(),
+    }
+    .run(alg);
+    match probe {
+        Some((probe_at, _)) => probe_run(run, probe_at),
+        None => steady_run(run, &arrivals, &compiled, params, seed),
     }
 }
 
 /// The probe's payload: outside the dense workload payload space.
 const PROBE: u64 = u64::MAX;
 
-fn run_impl<P>(
-    factory: impl FnMut(Pid) -> P,
-    compiled: &CompiledScript,
-    params: &RunParams,
-    seed: u64,
-    end: Time,
-) -> SingleRun
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>> + Send,
-    P::Msg: Send,
-{
-    let n = params.n;
-    match params.backend {
-        Backend::Sim => {
-            // Recycle the previous run's kernel allocations (timing
-            // wheel, CPU queues, topology tables) parked on this
-            // worker thread; results are unaffected (see
-            // `crate::scratch`).
-            let mut rt: Sim<P> = SimBuilder::new(n)
-                .seed(seed)
-                .network(params.net)
-                .schedule(params.schedule)
-                .build_with_scratch(factory, crate::scratch::take::<P>());
-            let run = drive(&mut rt, compiled, params, seed, end);
-            crate::scratch::put::<P>(rt.into_scratch());
-            run
-        }
-        Backend::Real => {
-            let config = RealConfig::new()
-                .heartbeat(
-                    Duration::from_micros(params.hb_period.as_micros()),
-                    Duration::from_micros(params.hb_timeout.as_micros()),
-                )
-                .seed(seed);
-            let mut rt = RealRuntime::new(n, config, factory);
-            drive(&mut rt, compiled, params, seed, end)
+/// One simulation, fully specified: the run dimensions and backend,
+/// the compiled fault script and the command stream. Every run of the
+/// study — a figure's replication, a saturation probe, an explorer
+/// tuple — executes through [`Execution::run`].
+pub(crate) struct Execution<'a> {
+    pub(crate) params: &'a RunParams,
+    pub(crate) seed: u64,
+    pub(crate) end: Time,
+    pub(crate) compiled: &'a CompiledScript,
+    pub(crate) arrivals: &'a [(Time, Pid, u64)],
+    /// Schedule the arrivals before the script (probe runs) rather
+    /// than after it. Same-time events run in scheduling order, so the
+    /// order is part of the execution.
+    pub(crate) arrivals_first: bool,
+}
+
+/// What one [`Execution`] produced.
+pub(crate) struct Executed {
+    pub(crate) outputs: Vec<(Time, Pid, AbcastEvent<u64>)>,
+    pub(crate) net: NetStats,
+    /// Whether the stack's [`Stack::quorum_collapsed`] hook fired for
+    /// some live process at the end of the run (simulator only).
+    pub(crate) quorum_collapsed: bool,
+}
+
+/// One protocol stack, built the same way with or without batching.
+trait Stack {
+    type Node<P: Payload + Send>: Process<Cmd = P, Out = AbcastEvent<P>, Msg: Send> + Send;
+
+    fn node<P: Payload + Send>(&self, me: Pid, n: usize, initial: &SuspectSet) -> Self::Node<P>;
+
+    /// Whether `node` ends the run wedged for a reason the algorithm's
+    /// model permits, which waives the explorer's completeness bars.
+    fn quorum_collapsed<P: Payload + Send>(
+        &self,
+        _node: &Self::Node<P>,
+        _crashed: &dyn Fn(Pid) -> bool,
+    ) -> bool {
+        false
+    }
+}
+
+/// The FD algorithm, with or without coordinator renumbering.
+struct Fd {
+    renumber: bool,
+}
+
+impl Stack for Fd {
+    type Node<P: Payload + Send> = FdNode<P>;
+
+    fn node<P: Payload + Send>(&self, me: Pid, n: usize, initial: &SuspectSet) -> FdNode<P> {
+        let node = FdNode::new(me, n, initial);
+        if self.renumber {
+            node
+        } else {
+            node.without_renumbering()
         }
     }
 }
 
-/// Runs one compiled scenario on any [`Runtime`] backend: the probe
-/// measurement if the script carries one, the steady measurement
-/// otherwise.
-fn drive<P, R>(
-    rt: &mut R,
-    compiled: &CompiledScript,
-    params: &RunParams,
-    seed: u64,
-    end: Time,
-) -> SingleRun
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
-    R: Runtime<P>,
-{
-    let probe = compiled.entries().iter().find_map(|(t, a)| match a {
-        ScriptAction::Probe(b) => Some((*t, *b)),
-        _ => None,
-    });
-    if let Some((probe_at, broadcaster)) = probe {
-        probe_run(rt, compiled, params, seed, end, probe_at, broadcaster)
-    } else {
-        steady_run(rt, compiled, params, seed, end)
+/// The GM algorithm, uniform or not.
+struct Gm(Uniformity);
+
+impl Stack for Gm {
+    type Node<P: Payload + Send> = GmNode<P>;
+
+    fn node<P: Payload + Send>(&self, me: Pid, n: usize, initial: &SuspectSet) -> GmNode<P> {
+        GmNode::with_uniformity(me, n, initial, self.0)
+    }
+
+    /// A live process wedged in a view change of a view that has lost
+    /// its quorum: the view-change consensus runs among the closing
+    /// view's members, so once wrong exclusions shrink the view and
+    /// real crashes take half of what is left, no further view can
+    /// ever install — the GM model's inherent primary-partition limit
+    /// (the paper's Section 4.3 hazard), not an implementation bug.
+    fn quorum_collapsed<P: Payload + Send>(
+        &self,
+        node: &GmNode<P>,
+        crashed: &dyn Fn(Pid) -> bool,
+    ) -> bool {
+        let a = node.algorithm();
+        let live = a.view().members().iter().filter(|m| !crashed(**m)).count();
+        a.in_view_change() && live < a.view().majority()
+    }
+}
+
+/// The ring contender.
+struct Ring;
+
+impl Stack for Ring {
+    type Node<P: Payload + Send> = RingNode<P>;
+
+    fn node<P: Payload + Send>(&self, me: Pid, n: usize, initial: &SuspectSet) -> RingNode<P> {
+        RingNode::new(me, n, initial)
+    }
+}
+
+impl Execution<'_> {
+    /// Builds `alg`'s stack on the selected backend, runs it to `end`
+    /// and returns what it produced.
+    pub(crate) fn run(&self, alg: Algorithm) -> Executed {
+        match alg {
+            Algorithm::Fd => self.stack(Fd { renumber: true }),
+            Algorithm::FdNoRenumber => self.stack(Fd { renumber: false }),
+            Algorithm::Gm => self.stack(Gm(Uniformity::Uniform)),
+            Algorithm::GmNonUniform => self.stack(Gm(Uniformity::NonUniform)),
+            Algorithm::Ring => self.stack(Ring),
+        }
+    }
+
+    /// With batching on, each node is wrapped in the [`Batched`] shell
+    /// and the algorithm itself runs over whole packs; with batching
+    /// off the node runs on bare payloads (bit-identically to the
+    /// pre-batching code — the golden tests pin this).
+    fn stack<S: Stack>(&self, stack: S) -> Executed {
+        let n = self.params.n;
+        let initial = self.compiled.initial_suspects();
+        match self.params.batching {
+            None => self.backend(
+                |p| stack.node::<u64>(p, n, initial),
+                |node, crashed| stack.quorum_collapsed(node, crashed),
+            ),
+            Some(cfg) => self.backend(
+                |p| Batched::new(p, stack.node::<Pack<u64>>(p, n, initial), cfg),
+                |node, crashed| stack.quorum_collapsed(node.inner(), crashed),
+            ),
+        }
+    }
+
+    fn backend<P>(
+        &self,
+        factory: impl FnMut(Pid) -> P,
+        collapsed: impl Fn(&P, &dyn Fn(Pid) -> bool) -> bool,
+    ) -> Executed
+    where
+        P: Process<Cmd = u64, Out = AbcastEvent<u64>, Msg: Send> + Send,
+    {
+        let (n, params) = (self.params.n, self.params);
+        match params.backend {
+            Backend::Sim => {
+                let mut sim: Sim<P> = SimBuilder::new(n)
+                    .seed(self.seed)
+                    .network(params.net)
+                    .schedule(params.schedule)
+                    .build_with(factory);
+                self.schedule(&mut sim);
+                sim.run_until(self.end);
+                let quorum_collapsed = Pid::all(n).any(|p| {
+                    !sim.is_crashed(p) && collapsed(sim.process(p), &|m| sim.is_crashed(m))
+                });
+                Executed {
+                    outputs: sim.take_outputs(),
+                    net: sim.net_stats(),
+                    quorum_collapsed,
+                }
+            }
+            Backend::Real => {
+                let config = RealConfig::new()
+                    .heartbeat(
+                        Duration::from_micros(params.hb_period.as_micros()),
+                        Duration::from_micros(params.hb_timeout.as_micros()),
+                    )
+                    .seed(self.seed);
+                let mut rt = RealRuntime::new(n, config, factory);
+                self.schedule(&mut rt);
+                rt.run_until(self.end);
+                Executed {
+                    outputs: rt.take_outputs(),
+                    net: rt.net_stats(),
+                    quorum_collapsed: false,
+                }
+            }
+        }
+    }
+
+    /// Schedules the compiled script verbatim (injections as
+    /// themselves, the probe as a marked command) and the arrivals,
+    /// in the execution's order.
+    fn schedule<P, R>(&self, rt: &mut R)
+    where
+        P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
+        R: Runtime<P>,
+    {
+        let arrivals = |rt: &mut R| {
+            for &(t, p, payload) in self.arrivals {
+                rt.schedule_command(t, p, payload);
+            }
+        };
+        if self.arrivals_first {
+            arrivals(rt);
+        }
+        for (t, act) in self.compiled.entries() {
+            match act {
+                ScriptAction::Inject(inj) => rt.schedule_injection(*t, inj.clone()),
+                ScriptAction::Probe(b) => rt.schedule_command(*t, *b, PROBE),
+            }
+        }
+        if !self.arrivals_first {
+            arrivals(rt);
+        }
     }
 }
 
 /// Steady-state measurement: Poisson workload over the whole
 /// measurement window, latency averaged over every measured message.
-fn steady_run<P, R>(
-    sim: &mut R,
+fn steady_run(
+    run: Executed,
+    arrivals: &[(Time, Pid, u64)],
     compiled: &CompiledScript,
     params: &RunParams,
     seed: u64,
-    end: Time,
-) -> SingleRun
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
-    R: Runtime<P>,
-{
-    let n = params.n;
-    let send_horizon = Time::ZERO + params.warmup + params.measure;
-    schedule_actions(sim, compiled);
-
-    let ancient = compiled.ancient_crashes();
-    let senders: Vec<Pid> = Pid::all(n).filter(|p| !ancient.contains(p)).collect();
-    let arrivals = poisson_arrivals(
-        n,
-        params.throughput,
-        send_horizon,
-        &senders,
-        derive_seed(seed, 0x40AD),
-    );
-    for &(t, p, payload) in &arrivals {
-        sim.schedule_command(t, p, payload);
-    }
-
-    sim.run_until(end);
+) -> SingleRun {
     // Payload = arrival index (see `poisson_arrivals`), so first
     // deliveries are kept by index and `arrivals` itself is the send
     // log, walked below in ascending payload order.
     let mut first_delivery: Vec<Option<Time>> = vec![None; arrivals.len()];
-    for (t, _, ev) in sim.take_outputs() {
+    for (t, _, ev) in run.outputs {
         let AbcastEvent::Delivered { payload, .. } = ev;
         if let Some(first @ None) = first_delivery.get_mut(payload as usize) {
             *first = Some(t);
         }
     }
 
-    let downtime = down_intervals(compiled, n);
+    let downtime = down_intervals(compiled, params.n);
     let w0 = Time::ZERO + params.warmup;
+    let send_horizon = w0 + params.measure;
     // Both accumulators see every delivered latency: `lat` computes
     // the mean with Welford's recurrence — which MUST stay, because
     // the golden-equivalence tests pin the pre-refactor Welford bit
@@ -746,48 +824,15 @@ where
         measured,
         undelivered,
         latencies: latencies.into_samples(),
-        net: sim.net_stats(),
+        net: run.net,
     }
 }
 
 /// Probe measurement (the crash-transient methodology): background
 /// load for the whole run, one marked broadcast whose latency is the
 /// sample.
-fn probe_run<P, R>(
-    sim: &mut R,
-    compiled: &CompiledScript,
-    params: &RunParams,
-    seed: u64,
-    end: Time,
-    probe_at: Time,
-    broadcaster: Pid,
-) -> SingleRun
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
-    R: Runtime<P>,
-{
-    let n = params.n;
-    assert!(
-        !compiled.ancient_crashes().contains(&broadcaster),
-        "the probe's broadcaster must be alive"
-    );
-    // Background load for the whole run; a crashed process's
-    // post-crash arrivals are dropped by the simulator.
-    let senders: Vec<Pid> = Pid::all(n).collect();
-    let arrivals = poisson_arrivals(
-        n,
-        params.throughput,
-        end,
-        &senders,
-        derive_seed(seed, 0x40AD),
-    );
-    for (t, p, payload) in arrivals {
-        sim.schedule_command(t, p, payload);
-    }
-    schedule_actions(sim, compiled);
-    sim.run_until(end);
-
-    let first = sim.take_outputs().into_iter().find_map(|(t, _, ev)| {
+fn probe_run(run: Executed, probe_at: Time) -> SingleRun {
+    let first = run.outputs.into_iter().find_map(|(t, _, ev)| {
         let AbcastEvent::Delivered { payload, .. } = ev;
         (payload == PROBE).then_some(t)
     });
@@ -797,7 +842,7 @@ where
         measured: 1,
         undelivered: u64::from(first.is_none()),
         latencies: lat.into_iter().collect(),
-        net: sim.net_stats(),
+        net: run.net,
     }
 }
 
@@ -810,21 +855,6 @@ where
 /// same predicate.
 pub(crate) fn saturation_exceeded(measured: u64, undelivered: u64, frac: f64) -> bool {
     measured == 0 || (undelivered as f64) > frac * measured as f64
-}
-
-/// Schedules a compiled script verbatim: injections as themselves,
-/// the probe as a marked command.
-fn schedule_actions<P, R>(sim: &mut R, compiled: &CompiledScript)
-where
-    P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
-    R: Runtime<P>,
-{
-    for (t, act) in compiled.entries() {
-        match act {
-            ScriptAction::Inject(inj) => sim.schedule_injection(*t, inj.clone()),
-            ScriptAction::Probe(b) => sim.schedule_command(*t, *b, PROBE),
-        }
-    }
 }
 
 /// Per-process down intervals `[crash, recover)` (recover = `None`

@@ -114,7 +114,7 @@ mod tests {
             ("crates/neko/src/wheel.rs", Zone::Sim),
             ("crates/neko/src/real.rs", Zone::Runtime),
             ("crates/core/src/runner.rs", Zone::Runtime),
-            ("crates/core/src/scratch.rs", Zone::Sim),
+            ("crates/core/src/explore.rs", Zone::Sim),
             ("src/lib.rs", Zone::Sim),
             ("crates/bench/src/results.rs", Zone::Bench),
             ("crates/bench/benches/micro.rs", Zone::Tooling),

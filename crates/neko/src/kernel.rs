@@ -407,47 +407,6 @@ impl<M: Message, C, O> Kernel<M, C, O> {
     pub(crate) fn timer_fires(&mut self, id: TimerId) -> bool {
         self.cancelled_timers.is_empty() || !self.cancelled_timers.remove(&id.0)
     }
-
-    /// Re-initialises the kernel in place for a fresh run, keeping
-    /// every allocation that survives re-parameterisation: the timing
-    /// wheel's slot vectors, CPU queue buffers, topology link tables
-    /// and effect buffers. Semantically the result is indistinguishable
-    /// from [`Kernel::with_schedule`] — a recycled kernel must produce
-    /// bit-identical executions (the determinism suites pin this).
-    pub(crate) fn recycle(&mut self, n: usize, params: NetParams, seed: u64, schedule: Schedule) {
-        assert!(
-            (1..=MAX_PROCESSES).contains(&n),
-            "n must be in 1..={MAX_PROCESSES}"
-        );
-        self.now = Time::ZERO;
-        self.seq = 0;
-        self.queue.reset();
-        self.n = n;
-        self.params = params;
-        self.cpus.resize_with(n, Cpu::new);
-        for cpu in &mut self.cpus {
-            cpu.queue.clear();
-            cpu.in_service = None;
-        }
-        if !self.net.recycle(&params, n, seed) {
-            self.net = build_topology(&params, n, seed);
-        }
-        self.fx.deliver.clear();
-        self.fx.schedule.clear();
-        self.crashed.clear();
-        self.crashed.resize(n, None);
-        self.partition = None;
-        self.suspects.clear();
-        self.suspects.resize(n, DestSet::new());
-        self.cancelled_timers.clear();
-        self.next_timer = 0;
-        self.rngs.clear();
-        self.rngs
-            .extend((0..n).map(|i| stream_rng(seed, 0x5EED_0000 + i as u64)));
-        self.tie_breaker = TieBreaker::new(schedule);
-        self.outputs.clear();
-        self.stats = NetStats::default();
-    }
 }
 
 /// The [`Ctx`] implementation backed by the simulation kernel.

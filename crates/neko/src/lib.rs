@@ -81,5 +81,5 @@ pub use process::{Ctx, DestSet, FdEvent, Message, Pid, Process, TimerId, MAX_PRO
 pub use real::{RealConfig, RealRuntime};
 pub use rng::{derive_seed, sample_exp_micros, splitmix64, stream_rng};
 pub use runtime::Runtime;
-pub use sim::{Sim, SimBuilder, SimScratch};
+pub use sim::{Sim, SimBuilder};
 pub use time::{Dur, Time};

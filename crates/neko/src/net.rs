@@ -381,13 +381,6 @@ pub(crate) trait Topology<M: Message> {
 
     /// The transmission tracked by `link` finished.
     fn complete(&mut self, now: Time, link: LinkId, fx: &mut NetFx<M>, stats: &mut NetStats);
-
-    /// Re-initialises the topology in place for a fresh run with the
-    /// given parameters, keeping its allocations (link vectors, FIFO
-    /// capacities) when possible. Returns `false` when this instance
-    /// cannot represent `params` (e.g. a shared medium asked to become
-    /// a switch) — the caller then rebuilds via [`build_topology`].
-    fn recycle(&mut self, params: &NetParams, n: usize, seed: u64) -> bool;
 }
 
 /// Builds the topology selected by `params` for a system of `n`
@@ -458,18 +451,6 @@ impl<M: Message> Topology<M> for SharedMedium<M> {
             self.in_service = Some(next);
             fx.schedule.push((now + self.net_delay, LinkId::SHARED));
         }
-    }
-
-    fn recycle(&mut self, params: &NetParams, _n: usize, _seed: u64) -> bool {
-        if params.model() != NetworkModel::SharedMedium {
-            return false;
-        }
-        self.net_delay = params.net_delay();
-        self.queue.clear();
-        self.in_service = None;
-        self.depth = 0;
-        self.used = false;
-        true
     }
 }
 
@@ -561,22 +542,6 @@ impl<M: Message> Topology<M> for Switched<M> {
             fx.schedule.push((now + self.net_delay, link));
         }
     }
-
-    fn recycle(&mut self, params: &NetParams, n: usize, _seed: u64) -> bool {
-        if params.model() != NetworkModel::Switched {
-            return false;
-        }
-        self.n = n as u32;
-        self.net_delay = params.net_delay();
-        self.links.resize_with(n * n, Link::new);
-        for link in &mut self.links {
-            link.queue.clear();
-            link.in_service = None;
-            link.depth = 0;
-            link.used = false;
-        }
-        true
-    }
 }
 
 /// WAN topology: constant per-pair latency, unlimited capacity.
@@ -645,23 +610,6 @@ impl<M: Message> Topology<M> for Wan<M> {
             .pop_front()
             .expect("NetDone for an empty WAN pair");
         fx.deliver.push((unicast.dest, unicast.from, unicast.msg));
-    }
-
-    fn recycle(&mut self, params: &NetParams, n: usize, seed: u64) -> bool {
-        let NetworkModel::Wan(wan) = params.model() else {
-            return false;
-        };
-        self.n = n as u32;
-        self.latency.clear();
-        self.latency.resize(n * n, Dur::ZERO);
-        Self::fill_latencies(&mut self.latency, n, wan, seed);
-        self.in_flight.resize_with(n * n, VecDeque::new);
-        for q in &mut self.in_flight {
-            q.clear();
-        }
-        self.used.clear();
-        self.used.resize(n * n, false);
-        true
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::inject::Injection;
 use crate::kernel::{Ev, Kernel, Schedule, SimCtx};
 use crate::net::{NetParams, NetStats, NetworkModel};
-use crate::process::{DestSet, FdEvent, Message, Pid, Process};
+use crate::process::{DestSet, FdEvent, Pid, Process};
 use crate::time::Time;
 
 /// Configures and creates a [`Sim`].
@@ -103,29 +103,7 @@ impl SimBuilder {
 
     /// Builds the simulator, constructing each process with `factory`.
     pub fn build_with<P: Process>(self, factory: impl FnMut(Pid) -> P) -> Sim<P> {
-        self.build_with_scratch(factory, None)
-    }
-
-    /// Builds the simulator like [`build_with`](Self::build_with), but
-    /// recycles the allocations of a previous run when `scratch` is
-    /// given (see [`Sim::into_scratch`]): the event queue's slot
-    /// vectors, per-host CPU queues, topology link tables and output
-    /// buffers are reused instead of reallocated. The resulting run is
-    /// bit-identical to a freshly built one — reuse is an allocator
-    /// optimisation, never a semantic one.
-    pub fn build_with_scratch<P: Process>(
-        self,
-        factory: impl FnMut(Pid) -> P,
-        scratch: Option<SimScratch<P::Msg, P::Cmd, P::Out>>,
-    ) -> Sim<P> {
-        let kernel = match scratch {
-            Some(mut s) => {
-                s.kernel
-                    .recycle(self.n, self.params, self.seed, self.schedule);
-                s.kernel
-            }
-            None => Kernel::with_schedule(self.n, self.params, self.seed, self.schedule),
-        };
+        let kernel = Kernel::with_schedule(self.n, self.params, self.seed, self.schedule);
         let procs = Pid::all(self.n).map(factory).collect();
         Sim {
             kernel,
@@ -135,17 +113,6 @@ impl SimBuilder {
             max_events: self.max_events,
         }
     }
-}
-
-/// The recyclable allocations of a finished simulation: the timing
-/// wheel's 704 slot vectors, per-host CPU queues, topology link
-/// tables, effect buffers and the output vector. Obtained from
-/// [`Sim::into_scratch`] and fed back into
-/// [`SimBuilder::build_with_scratch`], it lets a driver that runs many
-/// short simulations back-to-back (the adversarial explorer, batch
-/// sweeps) skip the per-run allocation storm without affecting results.
-pub struct SimScratch<M: Message, C, O> {
-    kernel: Kernel<M, C, O>,
 }
 
 /// A running simulation of `n` copies of a [`Process`].
@@ -302,14 +269,6 @@ impl<P: Process> Sim<P> {
     /// last call.
     pub fn take_outputs(&mut self) -> Vec<(Time, Pid, P::Out)> {
         std::mem::take(&mut self.kernel.outputs)
-    }
-
-    /// Consumes the simulation, keeping its allocations for the next
-    /// run — see [`SimBuilder::build_with_scratch`].
-    pub fn into_scratch(self) -> SimScratch<P::Msg, P::Cmd, P::Out> {
-        SimScratch {
-            kernel: self.kernel,
-        }
     }
 
     fn ensure_started(&mut self) {
@@ -663,51 +622,6 @@ mod tests {
             s.take_outputs()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn recycled_kernel_runs_bit_identically() {
-        // Drive a workload under every topology, fresh each time, then
-        // replay the same sequence through one continuously recycled
-        // kernel — crossing topology models, group sizes and seeds so
-        // recycle() has to re-parameterise everything. Outputs and
-        // stats must match the fresh runs exactly.
-        let configs = [
-            (3usize, 7u64, NetworkModel::SharedMedium),
-            (5, 11, NetworkModel::Switched),
-            (3, 7, NetworkModel::Wan(crate::net::WanParams::default())),
-            (4, 13, NetworkModel::SharedMedium),
-            (3, 7, NetworkModel::Switched),
-        ];
-        let drive = |mut s: Sim<Recorder>| {
-            for i in 0..10u64 {
-                s.schedule_command(
-                    Time::from_micros(i * 137),
-                    Pid::new((i % s.n() as u64) as usize),
-                    (None, i, true),
-                );
-            }
-            s.run_until(Time::from_secs(1));
-            (s.take_outputs(), s.net_stats(), s)
-        };
-        let mut scratch = None;
-        for (n, seed, model) in configs {
-            let fresh = drive(
-                SimBuilder::new(n)
-                    .topology(model)
-                    .seed(seed)
-                    .build_with(|_| Recorder { broadcast: true }),
-            );
-            let reused = drive(
-                SimBuilder::new(n)
-                    .topology(model)
-                    .seed(seed)
-                    .build_with_scratch(|_| Recorder { broadcast: true }, scratch.take()),
-            );
-            assert_eq!(fresh.0, reused.0, "{model:?} n={n}: outputs diverged");
-            assert_eq!(fresh.1, reused.1, "{model:?} n={n}: stats diverged");
-            scratch = Some(reused.2.into_scratch());
-        }
     }
 
     #[test]

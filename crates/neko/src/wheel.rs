@@ -145,28 +145,6 @@ impl<T> TimingWheel<T> {
         self.cursor
     }
 
-    /// Resets the wheel to its freshly-built state — cursor at zero,
-    /// nothing pending — while keeping the capacity of every slot
-    /// vector and the due batch. Only occupied
-    /// slots are visited (via the occupancy bitmaps), so resetting an
-    /// already-drained wheel is O(levels), not O(704 slots).
-    pub fn reset(&mut self) {
-        for level in 0..LEVELS {
-            let mut occ = self.occupancy[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                self.slots[level * SLOTS + slot].clear();
-            }
-            self.occupancy[level] = 0;
-        }
-        self.cursor = 0;
-        self.due.clear();
-        self.cancelled.clear();
-        self.len = 0;
-        self.peak = 0;
-    }
-
     /// Schedules `item` at `(at, tie, seq)`. `seq` must be unique
     /// across the wheel's lifetime; `at` must not lie before the
     /// cursor (the kernel never schedules into the past).
@@ -545,30 +523,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_built_order() {
-        let mut w = TimingWheel::new();
-        // Dirty every layer of state: multiple levels, the due batch,
-        // tombstones, an advanced cursor.
-        for seq in 0..50u64 {
-            w.insert(seq * 997, seq % 3, seq, seq as u32);
-        }
-        w.cancel(7);
-        w.insert(90_000, 0, 50, 0);
-        for _ in 0..10 {
-            w.pop_due(u64::MAX);
-        }
-        w.reset();
-        assert!(w.is_empty());
-        assert_eq!(w.cursor(), 0);
-        assert_eq!(w.peak(), 0);
-        // Replay the doc-example workload; seq 7 must NOT be
-        // suppressed by the stale tombstone.
-        w.insert(5, 0, 7, 1);
-        w.insert(2, 0, 8, 2);
-        assert_eq!(drain(&mut w, u64::MAX), vec![(2, 8), (5, 7)]);
     }
 
     #[test]
