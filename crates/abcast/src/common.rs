@@ -21,6 +21,20 @@ pub struct MsgId {
     pub seq: u64,
 }
 
+impl rbcast::SeqId for MsgId {
+    fn origin(self) -> Pid {
+        self.origin
+    }
+
+    fn seq(self) -> u64 {
+        self.seq
+    }
+
+    fn from_parts(origin: Pid, seq: u64) -> Self {
+        MsgId { origin, seq }
+    }
+}
+
 impl fmt::Display for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.origin, self.seq)

@@ -23,13 +23,13 @@
 //! with a strategy that orders ids only and repairs missing bodies.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use consensus::{Consensus, ConsensusAction, ConsensusConfig, ConsensusMsg, Value};
 use fdet::SuspectSet;
 use neko::{FdEvent, Message, Pid};
-use rbcast::{RbAction, RbMsg, ReliableBcast};
+use rbcast::{RbAction, RbMsg, ReliableBcast, WatermarkSet, WindowMap};
 
 use crate::common::{MsgId, Payload};
 
@@ -142,7 +142,7 @@ pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
     fn deliveries(&mut self, value: Self::Value, pending: &mut Pending<P>) -> Vec<(MsgId, P)>;
     /// Ids of `value` whose bodies are neither pending nor delivered:
     /// its delivery waits until they arrive.
-    fn missing(_value: &Self::Value, _: &Pending<P>, _: &BTreeSet<MsgId>) -> Vec<MsgId> {
+    fn missing(_value: &Self::Value, _: &Pending<P>, _: &WatermarkSet<MsgId>) -> Vec<MsgId> {
         Vec::new()
     }
     /// A payload body arrived by reliable broadcast (the FD self-check
@@ -170,7 +170,7 @@ pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
 }
 
 /// Received, not yet delivered payloads, in id order.
-pub type Pending<P> = BTreeMap<MsgId, P>;
+pub type Pending<P> = WindowMap<MsgId, P>;
 
 /// The action buffer a strategy `S` writes to.
 pub type Actions<S, P> = Vec<CastAction<<S as Strategy<P>>::Msg, P>>;
@@ -199,10 +199,9 @@ impl<P: Payload> Strategy<P> for Bodies {
     }
 
     fn propose(me: Pid, pending: &Pending<P>) -> Batch<P> {
-        Batch {
-            proposer: me,
-            msgs: pending.iter().map(|(id, p)| (*id, p.clone())).collect(),
-        }
+        let mut msgs = Vec::with_capacity(pending.len());
+        msgs.extend(pending.iter().map(|(id, p)| (id, p.clone())));
+        Batch { proposer: me, msgs }
     }
 
     fn proposer(value: &Batch<P>) -> Pid {
@@ -264,7 +263,7 @@ pub struct FdAbcast<P: Payload, S: Strategy<P> = Bodies> {
     strategy: S,
     rb: ReliableBcast<(MsgId, P)>,
     pending: Pending<P>,
-    delivered: BTreeSet<MsgId>,
+    delivered: WatermarkSet<MsgId>,
     delivered_log: Vec<MsgId>,
     /// Next instance to decide (all below are decided).
     k: u64,
@@ -302,8 +301,8 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
             renumbering: true,
             strategy: S::default(),
             rb: ReliableBcast::new(me),
-            pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            pending: WindowMap::new(),
+            delivered: WatermarkSet::new(),
             delivered_log: Vec::new(),
             k: 1,
             instances: BTreeMap::new(),
@@ -419,8 +418,8 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
                 let bodies = strategy.on_message(&at, own, out);
                 if !bodies.is_empty() {
                     for (id, p) in bodies {
-                        if !self.delivered.contains(&id) {
-                            self.pending.entry(id).or_insert(p);
+                        if !self.delivered.contains(id) && !self.pending.contains_key(id) {
+                            self.pending.insert(id, p);
                         }
                     }
                     self.apply_ready_decisions(out);
@@ -517,7 +516,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
                 RbAction::Deliver {
                     payload: (id, p), ..
                 } => {
-                    if !self.delivered.contains(&id) {
+                    if !self.delivered.contains(id) {
                         self.strategy.on_body(id);
                         self.pending.insert(id, p);
                         self.ensure_instance(out);
@@ -602,7 +601,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
             let proposer = S::proposer(&value);
             for (id, p) in self.strategy.deliveries(value, &mut self.pending) {
                 if self.delivered.insert(id) {
-                    self.pending.remove(&id);
+                    self.pending.remove(id);
                     self.delivered_log.push(id);
                     self.rb.forget(rbcast::BcastId {
                         origin: id.origin,
@@ -640,7 +639,103 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use rbcast::BcastId;
+
     use super::*;
+
+    type Queue = VecDeque<(Pid, Pid, FdCastMsg<u32>)>;
+
+    fn route(from: Pid, out: Vec<FdCastAction<u32>>, n: usize, queue: &mut Queue) {
+        for a in out {
+            match a {
+                CastAction::Send(to, m) => queue.push_back((from, to, m)),
+                CastAction::Multicast(m) => {
+                    for to in Pid::all(n).filter(|&to| to != from) {
+                        queue.push_back((from, to, m.clone()));
+                    }
+                }
+                CastAction::Deliver { .. } => {}
+            }
+        }
+    }
+
+    /// FIFO delivery until the queue drains.
+    fn drive(nodes: &mut [FdAbcast<u32>], queue: &mut Queue) {
+        while let Some((from, to, m)) = queue.pop_front() {
+            let mut out = Vec::new();
+            if let Some(node) = nodes.get_mut(to.index()) {
+                node.on_message(from, m, &mut out);
+            }
+            route(to, out, nodes.len(), queue);
+        }
+    }
+
+    #[test]
+    fn far_future_ids_off_the_wire_are_ordered_without_growing_dense_state() {
+        let n = 3;
+        let s = SuspectSet::new();
+        let mut nodes: Vec<FdAbcast<u32>> = Pid::all(n).map(|p| FdAbcast::new(p, n, &s)).collect();
+        let mut queue = Queue::new();
+        let p1 = Pid::new(1);
+        for (p, node) in Pid::all(n).zip(nodes.iter_mut()) {
+            let mut out = Vec::new();
+            node.broadcast(10 + p.index() as u32, &mut out);
+            route(p, out, n, &mut queue);
+        }
+        drive(&mut nodes, &mut queue);
+        // Far-future sequence numbers of p2 reach every process: one
+        // `Data`, then a relay-style `Batch` that repeats it.
+        let data = |seq| {
+            let id = MsgId { origin: p1, seq };
+            let bid = BcastId { origin: p1, seq };
+            (bid, (id, seq as u32))
+        };
+        let (bid, payload) = data(u64::MAX);
+        let msgs = vec![data(u64::MAX - 1), data(1 << 40), data(u64::MAX)];
+        for to in Pid::all(n) {
+            let single = RbMsg::Data { id: bid, payload };
+            queue.push_back((p1, to, CastMsg::Data(single)));
+            let batch = RbMsg::Batch { msgs: msgs.clone() };
+            queue.push_back((p1, to, CastMsg::Data(batch)));
+        }
+        drive(&mut nodes, &mut queue);
+        for (p, node) in Pid::all(n).zip(nodes.iter_mut()) {
+            let mut out = Vec::new();
+            node.broadcast(20 + p.index() as u32, &mut out);
+            route(p, out, n, &mut queue);
+        }
+        drive(&mut nodes, &mut queue);
+
+        let id = |seq| MsgId { origin: p1, seq };
+        let reference = nodes.first().map(|n| n.delivered_log().to_vec());
+        for node in &nodes {
+            assert_eq!(Some(node.delivered_log().to_vec()), reference);
+            assert_eq!(
+                node.delivered_log().len(),
+                9,
+                "every broadcast delivered once"
+            );
+            let p1_log: Vec<MsgId> = node
+                .delivered_log()
+                .iter()
+                .copied()
+                .filter(|m| m.origin == p1)
+                .collect();
+            // p2's own broadcasts keep their order around the far ids.
+            let first = p1_log.iter().position(|&m| m == id(0));
+            let second = p1_log.iter().position(|&m| m == id(1));
+            assert!(
+                matches!((first, second), (Some(a), Some(b)) if a < b),
+                "{p1_log:?}"
+            );
+            assert_eq!(node.pending(), 0);
+            assert_eq!(node.pending.span(), 0, "nothing left in the window");
+            assert_eq!(node.delivered.watermark(p1), 2, "far ids overflow");
+            assert!(node.delivered.contains(id(u64::MAX)));
+        }
+    }
 
     #[test]
     fn without_renumbering_keeps_ring_order() {

@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fdet::SuspectSet;
 use membership::{GmAction, GmMsg, Membership, Unstable, View, ViewId};
 use neko::{DestSet, FdEvent, Pid};
+use rbcast::{SeqWindow, WatermarkSet, WindowMap};
 
 use crate::common::{MsgId, Payload};
 
@@ -83,6 +84,20 @@ impl<P: Payload> Unstable for Bundle<P> {
             }
         }
         self.delivered_sn = self.delivered_sn.max(other.delivered_sn);
+    }
+}
+
+/// The per-view store: payload and assigned sn, if any, per message.
+type Store<P> = WindowMap<MsgId, (Option<u64>, P)>;
+
+/// The unstable bundle a view change snapshots from the store.
+fn snapshot<P: Payload>(store: &Store<P>, delivered_sn: u64) -> Bundle<P> {
+    Bundle {
+        msgs: store
+            .iter()
+            .map(|(id, (sn, p))| (id, (*sn, p.clone())))
+            .collect(),
+        delivered_sn,
     }
 }
 
@@ -199,15 +214,19 @@ pub struct GmAbcast<P: Payload> {
     uniformity: Uniformity,
     gm: Membership<Bundle<P>>,
     // ---- per-view protocol state (reset at each install) ----
-    store: BTreeMap<MsgId, (Option<u64>, P)>,
-    assigned: BTreeMap<MsgId, u64>,
-    by_sn: BTreeMap<u64, MsgId>,
+    // Sequence numbers restart at 0 with every view and are assigned
+    // densely, so the sn-keyed maps are windows indexed by sn.
+    store: Store<P>,
+    /// Sns whose `Seq` arrived before the message's `Data` (the store
+    /// holds the sn of every message it has).
+    assigned: WindowMap<MsgId, u64>,
+    by_sn: SeqWindow<MsgId>,
     /// Ack bitmaps per sequence number: only membership and a count
     /// are ever needed, so a [`DestSet`] replaces a tree of pids.
-    acks: BTreeMap<u64, DestSet>,
-    deliverable: BTreeSet<u64>,
+    acks: SeqWindow<DestSet>,
+    deliverable: SeqWindow<()>,
     /// Sequencer: messages with `Data` received but no `sn` yet.
-    unsequenced: BTreeSet<MsgId>,
+    unsequenced: WindowMap<MsgId, ()>,
     /// Sequencer: the first sn past the currently outstanding batch
     /// (`None` when no batch is in flight).
     batch_end: Option<u64>,
@@ -220,7 +239,7 @@ pub struct GmAbcast<P: Payload> {
     /// Non-uniform receiver: last cumulative ack sent.
     acked_up_to: u64,
     // ---- cross-view state ----
-    delivered_ids: BTreeSet<MsgId>,
+    delivered_ids: WatermarkSet<MsgId>,
     delivered_log: Vec<(MsgId, P)>,
     next_local_seq: u64,
     unsent: Vec<(MsgId, P)>,
@@ -246,12 +265,12 @@ impl<P: Payload> GmAbcast<P> {
             me,
             uniformity,
             gm: Membership::new(me, View::initial(n), suspects),
-            store: BTreeMap::new(),
-            assigned: BTreeMap::new(),
-            by_sn: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            deliverable: BTreeSet::new(),
-            unsequenced: BTreeSet::new(),
+            store: WindowMap::new(),
+            assigned: WindowMap::new(),
+            by_sn: SeqWindow::new(),
+            acks: SeqWindow::new(),
+            deliverable: SeqWindow::new(),
+            unsequenced: WindowMap::new(),
             batch_end: None,
             next_sn: 0,
             delivered_sn: 0,
@@ -259,7 +278,7 @@ impl<P: Payload> GmAbcast<P> {
             pruned_up_to: 0,
             ack_cum: BTreeMap::new(),
             acked_up_to: 0,
-            delivered_ids: BTreeSet::new(),
+            delivered_ids: WatermarkSet::new(),
             delivered_log: Vec::new(),
             next_local_seq: 0,
             unsent: Vec::new(),
@@ -409,14 +428,7 @@ impl<P: Payload> GmAbcast<P> {
             ..
         } = self;
         let mut gm_out = Vec::new();
-        gm.on_fd(
-            ev,
-            &mut || Bundle {
-                msgs: store.clone(),
-                delivered_sn: *delivered_sn,
-            },
-            &mut gm_out,
-        );
+        gm.on_fd(ev, &mut || snapshot(store, *delivered_sn), &mut gm_out);
         self.process_gm(gm_out, out);
     }
 
@@ -480,7 +492,9 @@ impl<P: Payload> GmAbcast<P> {
                 stable_up_to,
             } => match self.classify(view) {
                 ViewRelation::Current if !frozen => {
-                    self.deliverable.extend(sns.iter().copied());
+                    for &sn in &sns {
+                        self.deliverable.insert(sn, ());
+                    }
                     self.stable_up_to = self.stable_up_to.max(stable_up_to);
                     self.try_deliver(out);
                     self.prune_stable();
@@ -505,15 +519,7 @@ impl<P: Payload> GmAbcast<P> {
                     ..
                 } = self;
                 let mut gm_out = Vec::new();
-                gm.on_message(
-                    from,
-                    m,
-                    &mut || Bundle {
-                        msgs: store.clone(),
-                        delivered_sn: *delivered_sn,
-                    },
-                    &mut gm_out,
-                );
+                gm.on_message(from, m, &mut || snapshot(store, *delivered_sn), &mut gm_out);
                 self.process_gm(gm_out, out);
             }
             GmCastMsg::StateReq { from_index } => {
@@ -557,10 +563,10 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     fn handle_data(&mut self, id: MsgId, payload: P, out: &mut Vec<GmCastAction<P>>) {
-        if self.delivered_ids.contains(&id) || self.store.contains_key(&id) {
+        if self.delivered_ids.contains(id) || self.store.contains_key(id) {
             return;
         }
-        let sn = self.assigned.get(&id).copied();
+        let sn = self.assigned.remove(id);
         self.store.insert(id, (sn, payload));
         if self.gm.in_view_change() {
             // Flush barrier: record the payload (the origin re-sends
@@ -572,7 +578,7 @@ impl<P: Payload> GmAbcast<P> {
             // Seq arrived before Data: we can ack (and maybe deliver) now.
             self.complete_pair(sn, out);
         } else if self.is_sequencer() {
-            self.unsequenced.insert(id);
+            self.unsequenced.insert(id, ());
             self.maybe_open_batch(out);
         }
         self.try_deliver(out);
@@ -593,15 +599,18 @@ impl<P: Payload> GmAbcast<P> {
         {
             return;
         }
-        let ids: Vec<MsgId> = std::mem::take(&mut self.unsequenced).into_iter().collect();
+        let ids: Vec<MsgId> = self.unsequenced.keys().collect();
+        self.unsequenced.clear();
         let mut pairs = Vec::with_capacity(ids.len());
         for id in ids {
             let sn = self.next_sn;
             self.next_sn += 1;
-            self.assigned.insert(id, sn);
             self.by_sn.insert(sn, id);
-            if let Some(entry) = self.store.get_mut(&id) {
-                entry.0 = Some(sn);
+            match self.store.get_mut(id) {
+                Some(entry) => entry.0 = Some(sn),
+                None => {
+                    self.assigned.insert(id, sn);
+                }
             }
             pairs.push((id, sn));
         }
@@ -612,7 +621,7 @@ impl<P: Payload> GmAbcast<P> {
         for &(_, sn) in &pairs {
             self.note_ack(sn, self.me);
             if self.uniformity == Uniformity::NonUniform {
-                self.deliverable.insert(sn);
+                self.deliverable.insert(sn, ());
             }
         }
         let dests = self.others_vec();
@@ -629,14 +638,15 @@ impl<P: Payload> GmAbcast<P> {
     fn handle_seq(&mut self, sns: Vec<(MsgId, u64)>, out: &mut Vec<GmCastAction<P>>) {
         let mut to_ack = Vec::new();
         for (id, sn) in sns {
-            self.assigned.insert(id, sn);
             self.by_sn.insert(sn, id);
-            if let Some(entry) = self.store.get_mut(&id) {
-                entry.0 = Some(sn);
-                to_ack.push(sn);
-                if self.uniformity == Uniformity::NonUniform {
-                    self.deliverable.insert(sn);
-                }
+            let Some(entry) = self.store.get_mut(id) else {
+                self.assigned.insert(id, sn);
+                continue;
+            };
+            entry.0 = Some(sn);
+            to_ack.push(sn);
+            if self.uniformity == Uniformity::NonUniform {
+                self.deliverable.insert(sn, ());
             }
         }
         if !to_ack.is_empty() && !self.is_sequencer() && self.uniformity == Uniformity::Uniform {
@@ -656,7 +666,7 @@ impl<P: Payload> GmAbcast<P> {
     /// Both `Data` and `Seq` for `sn` are now present locally.
     fn complete_pair(&mut self, sn: u64, out: &mut Vec<GmCastAction<P>>) {
         if self.uniformity == Uniformity::NonUniform {
-            self.deliverable.insert(sn);
+            self.deliverable.insert(sn, ());
         }
         if self.is_sequencer() {
             self.note_ack(sn, self.me);
@@ -719,16 +729,24 @@ impl<P: Payload> GmAbcast<P> {
         if self.uniformity == Uniformity::NonUniform {
             return; // stability comes from cumulative acks instead
         }
-        let entry = self.acks.entry(sn).or_default();
-        entry.insert(from);
-        if entry.len() >= self.gm.view().majority() {
-            self.deliverable.insert(sn);
+        let acked = match self.acks.get_mut(sn) {
+            Some(acks) => {
+                acks.insert(from);
+                acks.len()
+            }
+            None => {
+                self.acks.insert(sn, DestSet::single(from));
+                1
+            }
+        };
+        if acked >= self.gm.view().majority() {
+            self.deliverable.insert(sn, ());
         }
         // Stability: the prefix acked by the whole view.
         let members = self.gm.view().len();
         while self
             .acks
-            .get(&self.stable_up_to)
+            .get(self.stable_up_to)
             .is_some_and(|a| a.len() >= members)
         {
             self.stable_up_to += 1;
@@ -774,23 +792,32 @@ impl<P: Payload> GmAbcast<P> {
     fn try_deliver(&mut self, out: &mut Vec<GmCastAction<P>>) {
         loop {
             let sn = self.delivered_sn;
-            let Some(&id) = self.by_sn.get(&sn) else {
+            let Some(&id) = self.by_sn.get(sn) else {
                 break;
             };
-            if self.delivered_ids.contains(&id) {
+            if self.delivered_ids.contains(id) {
                 self.delivered_sn += 1;
                 continue;
             }
-            if !self.deliverable.contains(&sn) {
+            if !self.deliverable.contains_key(sn) {
                 break;
             }
-            let Some((_, payload)) = self.store.get(&id) else {
+            let Some((_, payload)) = self.store.get(id) else {
                 break;
             };
             let payload = payload.clone();
             self.deliver(id, payload, out);
             self.delivered_sn += 1;
         }
+    }
+
+    /// Our own broadcasts in the store that are not delivered yet.
+    fn own_undelivered(&self) -> Vec<(MsgId, P)> {
+        self.store
+            .iter_origin(self.me)
+            .filter(|(id, _)| !self.delivered_ids.contains(*id))
+            .map(|(id, (_, p))| (id, p.clone()))
+            .collect()
     }
 
     fn deliver(&mut self, id: MsgId, payload: P, out: &mut Vec<GmCastAction<P>>) {
@@ -806,7 +833,7 @@ impl<P: Payload> GmAbcast<P> {
     fn prune_stable(&mut self) {
         let horizon = self.stable_up_to.min(self.delivered_sn);
         while self.pruned_up_to < horizon {
-            if let Some(id) = self.by_sn.get(&self.pruned_up_to) {
+            if let Some(&id) = self.by_sn.get(self.pruned_up_to) {
                 self.store.remove(id);
             }
             self.pruned_up_to += 1;
@@ -830,12 +857,7 @@ impl<P: Payload> GmAbcast<P> {
                     // caught up — the state transfer marks the ones
                     // the group delivered without us, and the rest go
                     // out again under their original ids.
-                    let mine: Vec<(MsgId, P)> = self
-                        .store
-                        .iter()
-                        .filter(|(id, _)| id.origin == self.me && !self.delivered_ids.contains(id))
-                        .map(|(id, (_, p))| (*id, p.clone()))
-                        .collect();
+                    let mine = self.own_undelivered();
                     self.unsent.extend(mine);
                     out.push(GmCastAction::JoinNeeded)
                 }
@@ -844,12 +866,7 @@ impl<P: Payload> GmAbcast<P> {
                     // the newer view through this same path without
                     // passing through `Excluded` — save our own
                     // undelivered broadcasts from the state reset.
-                    let mine: Vec<(MsgId, P)> = self
-                        .store
-                        .iter()
-                        .filter(|(id, _)| id.origin == self.me && !self.delivered_ids.contains(id))
-                        .map(|(id, (_, p))| (*id, p.clone()))
-                        .collect();
+                    let mine = self.own_undelivered();
                     for (id, p) in mine {
                         if !self.unsent.iter().any(|(uid, _)| *uid == id) {
                             self.unsent.push((id, p));
@@ -878,13 +895,7 @@ impl<P: Payload> GmAbcast<P> {
                 ..
             } = self;
             let mut gm_out = Vec::new();
-            gm.poll(
-                &mut || Bundle {
-                    msgs: store.clone(),
-                    delivered_sn: *delivered_sn,
-                },
-                &mut gm_out,
-            );
+            gm.poll(&mut || snapshot(store, *delivered_sn), &mut gm_out);
             self.process_gm(gm_out, out);
         }
     }
@@ -899,7 +910,7 @@ impl<P: Payload> GmAbcast<P> {
         let horizon = unstable.delivered_sn;
         for (id, (sn, p)) in unstable.msgs {
             bundled.insert(id);
-            if self.delivered_ids.contains(&id) {
+            if self.delivered_ids.contains(id) {
                 continue;
             }
             match sn {
@@ -922,10 +933,10 @@ impl<P: Payload> GmAbcast<P> {
         // out — delivering them here alone would be the opposite
         // divergence — as do unsequenced holdings; their origins
         // re-send them in the new view (step 2).
-        for (id, (sn, p)) in &self.store {
+        for (id, (sn, p)) in self.store.iter() {
             if let Some(sn) = sn {
-                if *sn < horizon && !bundled.contains(id) && !self.delivered_ids.contains(id) {
-                    with_sn.push((*sn, *id, p.clone()));
+                if *sn < horizon && !bundled.contains(&id) && !self.delivered_ids.contains(id) {
+                    with_sn.push((*sn, id, p.clone()));
                 }
             }
         }
@@ -940,12 +951,7 @@ impl<P: Payload> GmAbcast<P> {
         // 2) Collect what we must re-send in the new view: our own
         //    messages that are still undelivered, plus buffered
         //    commands.
-        let mut mine: Vec<(MsgId, P)> = self
-            .store
-            .iter()
-            .filter(|(id, _)| id.origin == self.me && !self.delivered_ids.contains(id))
-            .map(|(id, (_, p))| (*id, p.clone()))
-            .collect();
+        let mut mine = self.own_undelivered();
         mine.extend(std::mem::take(&mut self.unsent));
 
         // 3) Fresh per-view state.
@@ -1024,7 +1030,7 @@ impl<P: Payload> GmAbcast<P> {
         // Re-issue our still-undelivered messages.
         let mine = std::mem::take(&mut self.unsent);
         for (id, p) in mine {
-            if !self.delivered_ids.contains(&id) {
+            if !self.delivered_ids.contains(id) {
                 if self.can_send() {
                     self.send_data(id, p, out);
                 } else {
@@ -1358,6 +1364,57 @@ mod tests {
         assert_eq!(logs[0].len(), 15);
         assert_eq!(logs[0], logs[1]);
         assert_eq!(logs[1], logs[2]);
+    }
+
+    #[test]
+    fn far_future_sns_off_the_wire_deliver_nothing_and_stay_sparse() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        let a = net.bcast(&mut ns, 1, 1);
+        net.drive(&mut ns);
+        let view = View::initial(3).id();
+        let far = |seq| MsgId {
+            origin: Pid::new(1),
+            seq,
+        };
+        let sns = vec![
+            (a, u64::MAX),
+            (far(1 << 40), 1 << 40),
+            (far(u64::MAX), 7 << 50),
+        ];
+        for to in [0, 2] {
+            net.queue.push((
+                1,
+                to,
+                GmCastMsg::Seq {
+                    view,
+                    sns: sns.clone(),
+                },
+            ));
+        }
+        for from in [1, 2] {
+            let sns = vec![u64::MAX, 1 << 40, 7 << 50];
+            net.queue.push((from, 0, GmCastMsg::AckSn { view, sns }));
+        }
+        for to in [1, 2] {
+            let sns = vec![u64::MAX, 1 << 40];
+            let stable_up_to = 0;
+            let msg = GmCastMsg::Deliver {
+                view,
+                sns,
+                stable_up_to,
+            };
+            net.queue.push((0, to, msg));
+        }
+        net.drive(&mut ns);
+        let b = net.bcast(&mut ns, 2, 2);
+        net.drive(&mut ns);
+        for n in &ns {
+            assert_eq!(n.delivered_log(), vec![(a, 1), (b, 2)], "at {}", n.me);
+            assert!(n.by_sn.span() <= 2 && n.acks.span() <= 2 && n.deliverable.span() <= 2);
+            assert!(n.assigned.span() <= 2 && n.store.span() <= 2);
+            assert_eq!(n.delivered_ids.watermark(Pid::new(1)), 1);
+        }
     }
 
     #[test]

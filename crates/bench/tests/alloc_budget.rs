@@ -126,3 +126,41 @@ fn batched_stacks_allocate_less_than_once_per_payload() {
         );
     }
 }
+
+/// Normal-steady at n = 64 on the switched topology, the benchmark's
+/// scale workload: each broadcast fans out to 63 receivers, so every
+/// allocation in the per-message bookkeeping (delivered sets,
+/// retransmission stores, pending sets, the sequencer's sn maps) is
+/// paid up to 64 times. The measured window is long enough for the
+/// steady state to outweigh the first registration of each origin.
+/// Counts are deterministic per seed, so the bounds sit close to the
+/// observed rates.
+#[test]
+fn n64_stacks_allocation_budget() {
+    let params = RunParams::new(64, 200.0)
+        .with_warmup(Dur::from_millis(500))
+        .with_measure(Dur::from_millis(3000))
+        .with_drain(Dur::from_millis(500))
+        .with_network_model(NetworkModel::Switched);
+    // Observed 62.9 / 46.0 / 88.9 with dense per-origin bookkeeping;
+    // 88.5 / 88.9 / 114.6 when those sets and maps were search trees.
+    for (alg, budget) in [
+        (Algorithm::Fd, 70.0),
+        (Algorithm::Gm, 52.0),
+        (Algorithm::Ring, 98.0),
+    ] {
+        let (run, allocs) = counted_run(alg, &params);
+        let delivered = run.measured - run.undelivered;
+        assert!(
+            delivered > 500,
+            "{alg:?}: workload too small to be meaningful: {delivered}"
+        );
+        let per_bcast = allocs as f64 / delivered as f64;
+        assert!(
+            per_bcast < budget,
+            "{alg:?}: {per_bcast:.1} allocs per delivered broadcast ({allocs} \
+             allocations / {delivered} delivered) exceeds {budget} — the \
+             per-message bookkeeping allocates again"
+        );
+    }
+}

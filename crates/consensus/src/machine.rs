@@ -25,10 +25,10 @@
 //!   healed by the lazy relay, and laggards asking about old rounds
 //!   are answered with the decision.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fdet::SuspectSet;
-use neko::{FdEvent, Pid};
+use neko::{DestSet, FdEvent, Pid};
 use rbcast::{RbAction, RbMsg, ReliableBcast};
 
 use crate::msg::{ConsensusAction, ConsensusMsg, Decision, Value};
@@ -108,7 +108,9 @@ pub struct Consensus<V: Value> {
     decision_msg: Option<RbMsg<Decision<V>>>,
     suspects: SuspectSet,
     estimates: BTreeMap<Pid, (V, u32)>,
-    acks: BTreeSet<Pid>,
+    /// The coordinator's acks of the current round: only membership
+    /// and a count are read, so a [`DestSet`] replaces a tree of pids.
+    acks: DestSet,
     estimate_sent_for: u32,
     rb: ReliableBcast<Decision<V>>,
 }
@@ -140,7 +142,7 @@ impl<V: Value> Consensus<V> {
             decision_msg: None,
             suspects: suspects.clone(),
             estimates: BTreeMap::new(),
-            acks: BTreeSet::new(),
+            acks: DestSet::new(),
             estimate_sent_for: 0,
             rb: ReliableBcast::new(config.me),
             order: config.order,
@@ -380,7 +382,7 @@ impl<V: Value> Consensus<V> {
         loop {
             self.round = r;
             self.estimates.clear();
-            self.acks.clear();
+            self.acks = DestSet::new();
             let c = self.coordinator(r);
             if c == self.me {
                 self.phase = Phase::CollectEstimates;
@@ -453,8 +455,7 @@ impl<V: Value> Consensus<V> {
             round: self.round,
             value: v,
         }));
-        self.acks.clear();
-        self.acks.insert(self.me);
+        self.acks = DestSet::single(self.me);
         self.phase = Phase::AwaitAcks;
         self.maybe_decide(out);
     }

@@ -397,13 +397,18 @@ pub(crate) fn sweep_workers() -> usize {
 /// order** — scheduling never leaks into the output. The unit of
 /// parallelism is one item, so callers get full-core utilisation by
 /// submitting fine-grained items (single runs, single explorer
-/// tuples).
+/// tuples). A single item runs on the calling thread: every
+/// saturation probe is one job, and a thread of its own bought it no
+/// parallelism.
 pub(crate) fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    if let [item] = items {
+        return vec![f(item)];
+    }
     let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = workers.clamp(1, items.len().max(1));

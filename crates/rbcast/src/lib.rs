@@ -19,7 +19,9 @@
 //! The implementation is a *pure state machine*: inputs come in
 //! through method calls, outputs come out as [`RbAction`]s, so it can
 //! be driven by the simulator, by the real runtime, or directly by
-//! tests.
+//! tests. Its delivered set and retention store are the dense
+//! per-origin structures of [`dense`], which the layers above reuse for
+//! their own id bookkeeping.
 //!
 //! ```
 //! use neko::Pid;
@@ -38,10 +40,14 @@
 #![forbid(unsafe_code)]
 
 use core::fmt;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use fdet::SuspectSet;
 use neko::Pid;
+
+pub mod dense;
+
+pub use dense::{SeqId, SeqWindow, WatermarkSet, WindowMap};
 
 /// Globally unique identifier of one reliable broadcast:
 /// `(origin, per-origin sequence number)`.
@@ -51,6 +57,20 @@ pub struct BcastId {
     pub origin: Pid,
     /// The origin-local sequence number.
     pub seq: u64,
+}
+
+impl SeqId for BcastId {
+    fn origin(self) -> Pid {
+        self.origin
+    }
+
+    fn seq(self) -> u64 {
+        self.seq
+    }
+
+    fn from_parts(origin: Pid, seq: u64) -> Self {
+        BcastId { origin, seq }
+    }
 }
 
 impl fmt::Display for BcastId {
@@ -107,8 +127,8 @@ pub enum RbAction<M> {
 pub struct ReliableBcast<M> {
     me: Pid,
     next_seq: u64,
-    store: BTreeMap<BcastId, M>,
-    delivered: BTreeSet<BcastId>,
+    store: WindowMap<BcastId, M>,
+    delivered: WatermarkSet<BcastId>,
     relayed: BTreeSet<BcastId>,
 }
 
@@ -118,8 +138,8 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
         ReliableBcast {
             me,
             next_seq: 0,
-            store: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            store: WindowMap::new(),
+            delivered: WatermarkSet::new(),
             relayed: BTreeSet::new(),
         }
     }
@@ -211,14 +231,9 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
         }
         let to_relay: Vec<(BcastId, M)> = self
             .store
-            .range(
-                BcastId { origin: p, seq: 0 }..=BcastId {
-                    origin: p,
-                    seq: u64::MAX,
-                },
-            )
+            .iter_origin(p)
             .filter(|(id, _)| !self.relayed.contains(id))
-            .map(|(id, m)| (*id, m.clone()))
+            .map(|(id, m)| (id, m.clone()))
             .collect();
         for (id, _) in &to_relay {
             self.relayed.insert(*id);
@@ -242,13 +257,13 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
     /// Drops the retained copy of `id` (the layer above knows it is
     /// stable). Delivery deduplication is unaffected.
     pub fn forget(&mut self, id: BcastId) {
-        self.store.remove(&id);
+        self.store.remove(id);
     }
 
     /// Returns a retransmittable copy of a retained message, if any
     /// (used to help processes that are behind).
     pub fn message_for(&self, id: BcastId) -> Option<RbMsg<M>> {
-        self.store.get(&id).map(|payload| RbMsg::Data {
+        self.store.get(id).map(|payload| RbMsg::Data {
             id,
             payload: payload.clone(),
         })
@@ -256,7 +271,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
 
     /// Whether `id` has been delivered locally.
     pub fn has_delivered(&self, id: BcastId) -> bool {
-        self.delivered.contains(&id)
+        self.delivered.contains(id)
     }
 
     /// Number of retained (not yet forgotten) messages.
@@ -449,6 +464,62 @@ mod tests {
         assert_eq!(a.message_for(id), Some(RbMsg::Data { id, payload: 11 }));
         a.forget(id);
         assert_eq!(a.message_for(id), None);
+    }
+
+    #[test]
+    fn far_future_sequence_numbers_stay_out_of_the_dense_part() {
+        // Sequence numbers come off the wire: `u64::MAX` and other
+        // far-future values must be delivered once, like any other,
+        // without growing the retention window or moving the delivered
+        // watermark.
+        let p0 = Pid::new(0);
+        let mut b = ReliableBcast::new(Pid::new(1));
+        let mut out = Vec::new();
+        let id = |seq| BcastId { origin: p0, seq };
+        for seq in 0..3 {
+            let msg = RbMsg::Data {
+                id: id(seq),
+                payload: seq,
+            };
+            b.on_message(p0, msg, &no_suspects(), &mut out);
+        }
+        let span = b.store.span();
+        out.clear();
+        for seq in [u64::MAX, u64::MAX - 1, 1 << 40] {
+            let msg = RbMsg::Data {
+                id: id(seq),
+                payload: seq,
+            };
+            b.on_message(p0, msg.clone(), &no_suspects(), &mut out);
+            b.on_message(p0, msg, &no_suspects(), &mut out);
+        }
+        let batch = RbMsg::Batch {
+            msgs: vec![(id(u64::MAX), 0), (id(u64::MAX - 2), 0), (id(3), 3)],
+        };
+        b.on_message(p0, batch, &no_suspects(), &mut out);
+        assert_eq!(
+            data_of(&out),
+            vec![
+                id(u64::MAX),
+                id(u64::MAX - 1),
+                id(1 << 40),
+                id(u64::MAX - 2),
+                id(3)
+            ],
+            "each delivered exactly once"
+        );
+        assert_eq!(b.store.span(), span + 1, "only seq 3 joined the window");
+        assert_eq!(b.delivered.watermark(p0), 4);
+        assert!(b.has_delivered(id(u64::MAX)) && !b.has_delivered(id(4)));
+        // The far entries are retained and relayed like any other.
+        assert_eq!(b.retained(), 8);
+        out.clear();
+        b.on_suspect(p0, &mut out);
+        let relayed = out.iter().map(|a| match a {
+            RbAction::Multicast(RbMsg::Batch { msgs }) => msgs.len(),
+            _ => 0,
+        });
+        assert_eq!(relayed.sum::<usize>(), 8);
     }
 
     /// Abstract-network agreement test: random delivery order, origin

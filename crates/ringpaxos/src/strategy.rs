@@ -10,7 +10,7 @@ use abcast::{
 };
 use consensus::ConsensusMsg;
 use neko::{Message, Pid};
-use rbcast::RbMsg;
+use rbcast::{RbMsg, WatermarkSet};
 
 use crate::ring::{ring_members, ring_successor};
 
@@ -133,24 +133,27 @@ impl<P: Payload> Strategy<P> for Ring<P> {
     }
 
     fn propose(me: Pid, pending: &Pending<P>) -> IdBatch {
-        // The compact proposal: ids only (BTreeMap keys are already in
-        // id order, the paper's in-batch delivery tie-break).
-        IdBatch {
-            proposer: me,
-            ids: pending.keys().copied().collect(),
-        }
+        // The compact proposal: ids only (pending iterates in id
+        // order, the paper's in-batch delivery tie-break).
+        let mut ids = Vec::with_capacity(pending.len());
+        ids.extend(pending.keys());
+        IdBatch { proposer: me, ids }
     }
 
     fn proposer(value: &IdBatch) -> Pid {
         value.proposer
     }
 
-    fn missing(value: &IdBatch, pending: &Pending<P>, delivered: &BTreeSet<MsgId>) -> Vec<MsgId> {
+    fn missing(
+        value: &IdBatch,
+        pending: &Pending<P>,
+        delivered: &WatermarkSet<MsgId>,
+    ) -> Vec<MsgId> {
         value
             .ids
             .iter()
-            .filter(|id| !delivered.contains(id) && !pending.contains_key(id))
             .copied()
+            .filter(|&id| !delivered.contains(id) && !pending.contains_key(id))
             .collect()
     }
 
@@ -160,7 +163,7 @@ impl<P: Payload> Strategy<P> for Ring<P> {
             .ids
             .into_iter()
             .filter_map(|id| {
-                let p = pending.remove(&id)?;
+                let p = pending.remove(id)?;
                 self.fetching.remove(&id);
                 // Retain the body: a laggard applying this decision
                 // later fetches it from us.
@@ -233,7 +236,7 @@ impl<P: Payload> Ring<P> {
         let mut found = Vec::new();
         let mut rest = Vec::new();
         for id in ids {
-            if let Some(p) = at.pending.get(&id).or_else(|| self.archive.get(&id)) {
+            if let Some(p) = at.pending.get(id).or_else(|| self.archive.get(&id)) {
                 found.push((id, p.clone()));
             } else {
                 rest.push(id);
