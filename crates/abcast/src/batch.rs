@@ -62,7 +62,6 @@ pub type Pack<P> = Arc<[(MsgId, P)]>;
 /// assert_eq!(cfg.max_delay(), Dur::from_millis(2));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchConfig {
     max_batch: usize,
     max_delay: Dur,

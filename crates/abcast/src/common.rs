@@ -13,7 +13,6 @@ impl<T: Clone + Eq + Ord + fmt::Debug + 'static> Payload for T {}
 /// order inside a batch ("according to the order of their IDs", paper
 /// Section 4.1) is the `Ord` of this type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsgId {
     /// The broadcasting process.
     pub origin: Pid,

@@ -380,7 +380,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
                     return;
                 }
                 if k == self.k {
-                    self.ensure_instance(out);
+                    self.open_instance(out);
                 }
                 self.step_cons(k, out, |c, o| c.on_message(from, inner, o));
             }
@@ -530,16 +530,23 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
         }
     }
 
-    /// Creates (and proposes in) the current instance if there is a
-    /// reason to: pending messages, or incoming traffic for it.
+    /// Creates (and proposes in) the current instance if we hold
+    /// pending messages. Incoming traffic for the instance opens it
+    /// regardless, through [`open_instance`](Self::open_instance).
     fn ensure_instance(&mut self, out: &mut Actions<S, P>) {
+        if !self.pending.is_empty() {
+            self.open_instance(out);
+        }
+    }
+
+    /// Creates the current instance if it does not exist yet and
+    /// proposes our pending batch in it. Every instance proposes when
+    /// it is created, so an existing one is left as it is.
+    fn open_instance(&mut self, out: &mut Actions<S, P>) {
         let k = self.k;
         let inst = match self.instances.entry(k) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                if self.pending.is_empty() {
-                    return;
-                }
                 let cfg = if self.renumbering {
                     ConsensusConfig::ring_from(self.me, self.n, self.coord_first)
                 } else {
@@ -627,7 +634,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
             // `buffered_duplicate_decision_stays_in_its_instance`.)
             let drained_k = self.k;
             if let Some(msgs) = self.future.remove(&drained_k) {
-                self.ensure_instance(out);
+                self.open_instance(out);
                 for (from, inner) in msgs {
                     self.step_cons(drained_k, out, |c, o| c.on_message(from, inner, o));
                 }

@@ -329,12 +329,6 @@ impl<P: Payload> GmAbcast<P> {
         self.unsent.len()
     }
 
-    /// Diagnostic passthrough to the membership machine.
-    #[doc(hidden)]
-    pub fn debug_vc(&self) -> Option<membership::VcSnapshot> {
-        self.gm.debug_vc()
-    }
-
     /// Whether a view change is currently in progress.
     pub fn in_view_change(&self) -> bool {
         self.gm.in_view_change()

@@ -1,19 +1,15 @@
-//! Criterion micro-benchmarks: wall-clock cost of the simulator and
-//! the protocol state machines themselves (not simulated latency) —
-//! plus the *kernel report*: events/sec, allocations/message and peak
-//! event-queue depth of the discrete-event kernel itself, merged into
-//! `BENCH_results.json` (figure `micro`) so kernel-speed regressions
-//! show up in the tracked trajectory.
+//! The *kernel report*: events/sec, allocations/message and peak
+//! event-queue depth of the discrete-event kernel itself (wall-clock,
+//! not simulated latency), merged into `BENCH_results.json` (figure
+//! `micro`) so kernel-speed regressions show up in the tracked
+//! trajectory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use criterion::{criterion_group, BatchSize, Criterion};
-use fdet::{suspicion_steady_plan, QosParams, SuspectSet};
 use figures::{effort, Effort, Json, Report};
 use neko::{Ctx, Dur, Message, NetworkModel, Pid, Process, Sim, SimBuilder, Time};
-use study::{poisson_arrivals, run_once, Algorithm, FaultScript, RunParams};
 
 /// Counts every heap allocation this bench binary makes, so the
 /// kernel report can state allocations per delivered message.
@@ -44,128 +40,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
-
-fn engine_event_throughput(c: &mut Criterion) {
-    // One simulated second of FD atomic broadcast at 300 msg/s, n = 3.
-    c.bench_function("sim_fd_one_second_300rps", |b| {
-        b.iter(|| {
-            let params = RunParams::new(3, 300.0)
-                .with_warmup(Dur::from_millis(100))
-                .with_measure(Dur::from_millis(900))
-                .with_drain(Dur::from_millis(500));
-            run_once(Algorithm::Fd, &FaultScript::normal_steady(), &params, 42)
-        });
-    });
-    c.bench_function("sim_gm_one_second_300rps", |b| {
-        b.iter(|| {
-            let params = RunParams::new(3, 300.0)
-                .with_warmup(Dur::from_millis(100))
-                .with_measure(Dur::from_millis(900))
-                .with_drain(Dur::from_millis(500));
-            run_once(Algorithm::Gm, &FaultScript::normal_steady(), &params, 42)
-        });
-    });
-}
-
-fn consensus_instance(c: &mut Criterion) {
-    use consensus::{Consensus, ConsensusConfig, ConsensusMsg};
-    c.bench_function("consensus_instance_n7_failure_free", |b| {
-        b.iter_batched(
-            || {
-                let s = SuspectSet::new();
-                let machines: Vec<Consensus<u32>> = (0..7)
-                    .map(|i| Consensus::new(ConsensusConfig::ring(Pid::new(i), 7), &s))
-                    .collect();
-                machines
-            },
-            |mut machines| {
-                // Drive one instance by hand: propose everywhere, route
-                // coordinator traffic FIFO.
-                let mut queue: Vec<(usize, usize, ConsensusMsg<u32>)> = Vec::new();
-                for (i, m) in machines.iter_mut().enumerate() {
-                    let mut out = Vec::new();
-                    m.propose(i as u32, &mut out);
-                    route(i, out, 7, &mut queue);
-                }
-                while let Some((from, to, m)) = queue.pop() {
-                    let mut out = Vec::new();
-                    machines[to].on_message(Pid::new(from), m, &mut out);
-                    route(to, out, 7, &mut queue);
-                }
-                machines
-            },
-            BatchSize::SmallInput,
-        );
-    });
-
-    fn route(
-        from: usize,
-        out: Vec<consensus::ConsensusAction<u32>>,
-        n: usize,
-        queue: &mut Vec<(usize, usize, ConsensusMsg<u32>)>,
-    ) {
-        for a in out {
-            match a {
-                consensus::ConsensusAction::Send(to, m) => queue.push((from, to.index(), m)),
-                consensus::ConsensusAction::Multicast(m) => {
-                    for to in 0..n {
-                        if to != from {
-                            queue.push((from, to, m.clone()));
-                        }
-                    }
-                }
-                consensus::ConsensusAction::Decided(_) => {}
-            }
-        }
-    }
-}
-
-fn fd_plan_generation(c: &mut Criterion) {
-    c.bench_function("suspicion_plan_7p_10s_tmr100ms", |b| {
-        let qos = QosParams::new()
-            .with_mistake_recurrence(Dur::from_millis(100))
-            .with_mistake_duration(Dur::from_millis(10));
-        b.iter(|| suspicion_steady_plan(7, Time::from_secs(10), qos, 7));
-    });
-}
-
-fn workload_generation(c: &mut Criterion) {
-    c.bench_function("poisson_arrivals_700rps_10s", |b| {
-        let senders: Vec<Pid> = Pid::all(7).collect();
-        b.iter(|| poisson_arrivals(7, 700.0, Time::from_secs(10), &senders, 3));
-    });
-}
-
-fn raw_engine(c: &mut Criterion) {
-    use neko::{Ctx, Process};
-    /// Minimal ping storm to measure the kernel itself.
-    struct Pinger;
-    impl Process for Pinger {
-        type Msg = u64;
-        type Cmd = ();
-        type Out = ();
-        fn on_command(&mut self, ctx: &mut dyn Ctx<u64, ()>, _cmd: ()) {
-            ctx.broadcast(0);
-        }
-        fn on_message(&mut self, ctx: &mut dyn Ctx<u64, ()>, from: Pid, msg: u64) {
-            if msg < 2_000 {
-                ctx.send(from, msg + 1);
-            }
-        }
-    }
-    c.bench_function("kernel_ping_chain_2000", |b| {
-        b.iter(|| {
-            let mut sim = SimBuilder::new(2).build_with(|_| Pinger);
-            sim.schedule_command(Time::ZERO, Pid::new(0), ());
-            sim.run_until(Time::from_secs(100));
-            sim.net_stats().wire_messages
-        });
-    });
-}
-
-// ---------------------------------------------------------------------------
-// The kernel report: throughput of the discrete-event kernel itself.
-// ---------------------------------------------------------------------------
 
 /// One process holding a large population of staggered, re-arming
 /// timers — the failure-detector-heartbeat shape that dominates the
@@ -465,17 +339,6 @@ fn kernel_report() {
     report.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = engine_event_throughput,
-        consensus_instance,
-        fd_plan_generation,
-        workload_generation,
-        raw_engine
-}
-
 fn main() {
-    benches();
     kernel_report();
 }

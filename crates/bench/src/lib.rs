@@ -1,8 +1,8 @@
 //! # figures — regenerating the paper's evaluation
 //!
 //! One `cargo bench` target per figure of the paper (`fig4` … `fig8`),
-//! plus `ablation` (design-choice studies) and `micro` (Criterion
-//! wall-clock benchmarks of the simulator and protocols).
+//! plus `ablation` (design-choice studies) and `micro` (wall-clock
+//! throughput of the discrete-event kernel itself).
 //!
 //! Each figure bench prints the figure's data series as CSV rows
 //! (`series, x, latency_ms, ci95_ms` — `saturated` when the

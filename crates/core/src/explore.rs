@@ -161,7 +161,6 @@ pub struct Explorer {
     seed: u64,
     budget: usize,
     algorithms: Vec<Algorithm>,
-    topologies: Vec<NetworkModel>,
     group_sizes: (usize, usize),
     /// Size of the occasional large-group tuple (every 16th index),
     /// exercising the multi-word destination masks; `None` disables
@@ -170,9 +169,15 @@ pub struct Explorer {
     throughput: f64,
     horizon: Dur,
     drain: Dur,
-    reseed_budget: usize,
     workers: Option<usize>,
 }
+
+/// The topologies small tuples draw from.
+const TOPOLOGIES: [NetworkModel; 2] = [NetworkModel::SharedMedium, NetworkModel::Switched];
+
+/// How many alternative schedule seeds the shrinker re-searches when a
+/// mutation loses the failure.
+const RESEED_BUDGET: u64 = 6;
 
 impl Explorer {
     /// An explorer with the documented default budget: 1000 tuples
@@ -186,13 +191,11 @@ impl Explorer {
             seed,
             budget: 1000,
             algorithms: Algorithm::STUDY.to_vec(),
-            topologies: vec![NetworkModel::SharedMedium, NetworkModel::Switched],
             group_sizes: (3, 5),
             large_group: Some(64),
             throughput: 80.0,
             horizon: Dur::from_millis(1_200),
             drain: Dur::from_millis(2_500),
-            reseed_budget: 6,
             workers: None,
         }
     }
@@ -217,13 +220,6 @@ impl Explorer {
             "the oracle judges uniform variants only"
         );
         self.algorithms = algorithms.to_vec();
-        self
-    }
-
-    /// Restricts the topologies drawn from.
-    pub fn with_topologies(mut self, topologies: &[NetworkModel]) -> Self {
-        assert!(!topologies.is_empty(), "need at least one topology");
-        self.topologies = topologies.to_vec();
         self
     }
 
@@ -256,13 +252,6 @@ impl Explorer {
         self
     }
 
-    /// Sets how many alternative schedule seeds the shrinker
-    /// re-searches when a mutation loses the failure.
-    pub fn with_reseed_budget(mut self, budget: usize) -> Self {
-        self.reseed_budget = budget;
-        self
-    }
-
     /// Overrides the worker-thread count (default: the sweep pool's,
     /// i.e. one per core or `STUDY_SWEEP_THREADS`).
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -284,7 +273,7 @@ impl Explorer {
         let (lo, hi) = self.group_sizes;
         let n = lo + (rng.next_u64() as usize) % (hi - lo + 1);
         let minority = (n - 1) / 2;
-        let topology = self.topologies[(rng.next_u64() as usize) % self.topologies.len()];
+        let topology = TOPOLOGIES[(rng.next_u64() as usize) % TOPOLOGIES.len()];
         // One FIFO baseline in every eight tuples; the rest split
         // between uniform tie permutation and PCT-style demotion.
         let schedule = match index % 8 {
@@ -517,10 +506,7 @@ impl Explorer {
         let reseed = derive_seed(base.seed, 0x5EED);
         let schedules = std::iter::once(base.schedule)
             .chain(std::iter::once(Schedule::Fifo))
-            .chain(
-                (0..self.reseed_budget as u64)
-                    .map(|j| Schedule::SeededRandom(derive_seed(reseed, j))),
-            );
+            .chain((0..RESEED_BUDGET).map(|j| Schedule::SeededRandom(derive_seed(reseed, j))));
         for schedule in schedules {
             candidate.schedule = schedule;
             if let Verdict::Fail(v) = run_tuple(&candidate) {

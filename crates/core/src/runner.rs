@@ -34,7 +34,6 @@ use crate::workload::poisson_arrivals;
 
 /// Which algorithm (and variant) to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Algorithm {
     /// Chandra–Toueg atomic broadcast (failure detectors used
     /// directly).
@@ -64,7 +63,6 @@ impl Algorithm {
 
 /// Which [`neko::Runtime`] backend executes a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backend {
     /// The deterministic discrete-event simulator — instantaneous,
     /// bit-reproducible, contention-modelled. The default.
@@ -160,14 +158,6 @@ impl RunParams {
     /// the pre-batching code path bit-identically.
     pub fn with_batching(mut self, cfg: BatchConfig) -> Self {
         self.batching = Some(cfg);
-        self
-    }
-
-    /// Disables batching (the default; useful to undo
-    /// [`with_batching`](Self::with_batching) on a cloned parameter
-    /// set in on/off sweeps).
-    pub fn without_batching(mut self) -> Self {
-        self.batching = None;
         self
     }
 
@@ -1267,7 +1257,6 @@ mod tests {
         let cfg = BatchConfig::new(4, Dur::from_millis(1));
         let p = p.with_batching(cfg);
         assert_eq!(p.batching(), Some(cfg));
-        assert_eq!(p.without_batching().batching(), None);
     }
 
     #[test]

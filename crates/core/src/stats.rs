@@ -35,7 +35,6 @@ fn t95(df: usize) -> f64 {
 /// assert_eq!(s.p50(), Some(11.0));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     mean: f64,
     var: f64,
@@ -79,11 +78,6 @@ impl Summary {
     /// The unbiased sample variance.
     pub fn variance(&self) -> f64 {
         self.var
-    }
-
-    /// The sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.var.sqrt()
     }
 
     /// Number of samples.

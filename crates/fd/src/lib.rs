@@ -16,11 +16,7 @@
 //!   [`PlanEntry`] stream) for [`neko::Sim::schedule_plan`]; fault
 //!   scripts (`study::FaultScript`) concatenate these streams;
 //! * [`SuspectSet`] — per-process bookkeeping used by the protocol
-//!   state machines;
-//! * [`QosEstimator`] — measures the metrics back from an observed
-//!   edge stream (e.g. from the heartbeat detector of the real-time
-//!   backend, [`neko::RealRuntime`], configured through
-//!   [`neko::RealConfig::heartbeat`]).
+//!   state machines.
 //!
 //! The plan compilers are backend-agnostic: on [`neko::Sim`] the
 //! injections drive the abstract QoS detector model; on
@@ -44,11 +40,9 @@
 // attribute makes the same invariant compiler-enforced.
 #![forbid(unsafe_code)]
 
-mod estimate;
 mod qos;
 mod suspect;
 
-pub use estimate::QosEstimator;
 pub use qos::{
     crash_steady_plan, crash_transient_plan, partition_cut_plan, partition_heal_plan,
     recovery_plan, suspicion_burst_plan, suspicion_steady_plan, PlanEntry, QosParams,

@@ -29,41 +29,33 @@ use neko::{sample_exp_micros, stream_rng, Dur, FdEvent, Injection, Partition, Pi
 /// unified stream for [`neko::Sim::schedule_plan`].
 pub type PlanEntry = (Time, Injection);
 
-/// QoS parameters of the (identically distributed) failure-detector
-/// modules.
+/// The wrong-suspicion QoS parameters (`T_MR`, `T_M`) of the
+/// (identically distributed) failure-detector modules. The detection
+/// time `T_D` is an argument of each crash, recovery and partition
+/// plan compiler instead.
 ///
 /// ```
 /// use fdet::QosParams;
 /// use neko::Dur;
 ///
 /// let q = QosParams::new()
-///     .with_detection(Dur::from_millis(10))
 ///     .with_mistake_recurrence(Dur::from_millis(1000))
 ///     .with_mistake_duration(Dur::from_millis(10));
-/// assert_eq!(q.detection(), Dur::from_millis(10));
+/// assert!(q.makes_mistakes());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosParams {
-    detection: Dur,
     mistake_recurrence: Dur,
     mistake_duration: Dur,
 }
 
 impl QosParams {
-    /// A perfect detector: instant detection, no mistakes.
+    /// A perfect detector: no mistakes.
     pub fn new() -> Self {
         QosParams {
-            detection: Dur::ZERO,
             mistake_recurrence: Dur::MAX,
             mistake_duration: Dur::ZERO,
         }
-    }
-
-    /// Sets the (constant) detection time `T_D`.
-    pub fn with_detection(mut self, td: Dur) -> Self {
-        self.detection = td;
-        self
     }
 
     /// Sets the mean mistake recurrence time `T_MR`. `Dur::MAX` means
@@ -79,11 +71,6 @@ impl QosParams {
     pub fn with_mistake_duration(mut self, tm: Dur) -> Self {
         self.mistake_duration = tm;
         self
-    }
-
-    /// The detection time `T_D`.
-    pub fn detection(&self) -> Dur {
-        self.detection
     }
 
     /// The mean mistake recurrence time `T_MR`.
@@ -367,15 +354,12 @@ mod tests {
     #[test]
     fn qos_params_accessors_and_mistake_predicate() {
         let q = QosParams::new();
-        assert_eq!(q.detection(), Dur::ZERO);
         assert_eq!(q.mistake_recurrence(), Dur::MAX);
         assert_eq!(q.mistake_duration(), Dur::ZERO);
         assert!(!q.makes_mistakes(), "the default detector is perfect");
         let q = q
-            .with_detection(Dur::from_millis(25))
             .with_mistake_recurrence(Dur::from_secs(2))
             .with_mistake_duration(Dur::from_millis(7));
-        assert_eq!(q.detection(), Dur::from_millis(25));
         assert_eq!(q.mistake_recurrence(), Dur::from_secs(2));
         assert_eq!(q.mistake_duration(), Dur::from_millis(7));
         assert!(q.makes_mistakes());

@@ -76,13 +76,6 @@ impl Partition {
         Partition { masks }
     }
 
-    /// The partition that cuts `p` off from everyone else in a system
-    /// of `n` processes.
-    pub fn isolate(p: Pid, n: usize) -> Self {
-        let rest: Vec<Pid> = Pid::all(n).filter(|&q| q != p).collect();
-        Partition::split(&[vec![p], rest])
-    }
-
     /// Whether a message from `a` may reach `b` under this partition.
     pub fn allows(&self, a: Pid, b: Pid) -> bool {
         if a == b {
@@ -119,14 +112,6 @@ mod tests {
         assert!(!p.allows(Pid::new(2), Pid::new(0)));
         assert!(!p.allows(Pid::new(0), Pid::new(2)));
         assert!(p.allows(Pid::new(2), Pid::new(2)));
-    }
-
-    #[test]
-    fn isolate_cuts_exactly_one_process() {
-        let p = Partition::isolate(Pid::new(1), 4);
-        assert!(!p.allows(Pid::new(1), Pid::new(0)));
-        assert!(!p.allows(Pid::new(2), Pid::new(1)));
-        assert!(p.allows(Pid::new(0), Pid::new(3)));
     }
 
     #[test]

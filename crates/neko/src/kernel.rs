@@ -30,7 +30,6 @@ use crate::wheel::TimingWheel;
 /// deterministic: the same policy (including its seed) on the same
 /// run yields bit-identical executions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Schedule {
     /// Insertion order (the historical kernel behaviour,
     /// bit-identical to runs predating this knob).

@@ -41,6 +41,10 @@ use crate::process::{DestSet, Message, Pid};
 use crate::rng::derive_seed;
 use crate::time::{Dur, Time};
 
+/// The network occupancy per message: the model's time unit (the
+/// paper's 1 ms).
+const NET_DELAY: Dur = Dur::from_millis(1);
+
 /// Parameters of the network model.
 ///
 /// ```
@@ -53,9 +57,7 @@ use crate::time::{Dur, Time};
 /// assert_eq!(fast_hosts.cpu_delay(), Dur::from_micros(100));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetParams {
-    net_delay: Dur,
     lambda: f64,
     coalesce: bool,
     model: NetworkModel,
@@ -66,7 +68,6 @@ impl NetParams {
     /// message coalescing enabled, shared-medium topology.
     pub fn new() -> Self {
         NetParams {
-            net_delay: Dur::from_millis(1),
             lambda: 1.0,
             coalesce: true,
             model: NetworkModel::SharedMedium,
@@ -83,12 +84,6 @@ impl NetParams {
     /// The configured topology model.
     pub fn model(&self) -> NetworkModel {
         self.model
-    }
-
-    /// Sets the network occupancy per message (the model's time unit).
-    pub fn with_net_delay(mut self, d: Dur) -> Self {
-        self.net_delay = d;
-        self
     }
 
     /// Sets `λ`, the CPU cost of sending or receiving one message
@@ -116,7 +111,7 @@ impl NetParams {
 
     /// The network occupancy per message.
     pub fn net_delay(&self) -> Dur {
-        self.net_delay
+        NET_DELAY
     }
 
     /// `λ` as configured.
@@ -127,7 +122,7 @@ impl NetParams {
     /// The CPU occupancy per message emission or reception
     /// (`λ ×` [`net_delay`](Self::net_delay)).
     pub fn cpu_delay(&self) -> Dur {
-        self.net_delay.mul_f64(self.lambda)
+        NET_DELAY.mul_f64(self.lambda)
     }
 
     /// Whether message coalescing is enabled.
@@ -158,7 +153,6 @@ impl Default for NetParams {
 /// assert_ne!(wan, NetworkModel::Switched);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum NetworkModel {
     /// The paper's model: one shared Ethernet-style medium. Each
@@ -183,11 +177,10 @@ pub enum NetworkModel {
 /// ```
 /// use neko::{Dur, WanParams};
 ///
-/// let w = WanParams::default();
-/// assert!(w.min_latency() <= w.max_latency());
+/// let w = WanParams::new(Dur::from_millis(10), Dur::from_millis(50));
+/// assert_eq!(w, WanParams::default());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WanParams {
     min: Dur,
     max: Dur,
@@ -202,16 +195,6 @@ impl WanParams {
     pub fn new(min: Dur, max: Dur) -> Self {
         assert!(min <= max, "WAN latency range is empty: {min} > {max}");
         WanParams { min, max }
-    }
-
-    /// The smallest possible pair latency.
-    pub fn min_latency(&self) -> Dur {
-        self.min
-    }
-
-    /// The largest possible pair latency.
-    pub fn max_latency(&self) -> Dur {
-        self.max
     }
 }
 
@@ -622,7 +605,6 @@ impl<M: Message> Topology<M> for Wan<M> {
 /// [`crate::Process::on_message`] (a multicast to `k` live remote
 /// destinations counts `k` times) under every model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct NetStats {
     /// Application-level `send`/`multicast`/`broadcast` calls.

@@ -35,7 +35,6 @@ pub(crate) const MASK_WORDS: usize = MAX_PROCESSES / 64;
 /// assert_eq!(p.to_string(), "p1");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pid(u32);
 
 impl Pid {
@@ -75,7 +74,6 @@ impl fmt::Display for Pid {
 
 /// An edge reported by a failure detector to the process it serves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FdEvent {
     /// The detector started suspecting `Pid` to have crashed.
     Suspect(Pid),

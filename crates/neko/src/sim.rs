@@ -34,7 +34,6 @@ pub struct SimBuilder {
     n: usize,
     params: NetParams,
     seed: u64,
-    max_events: u64,
     schedule: Schedule,
 }
 
@@ -45,7 +44,6 @@ impl SimBuilder {
             n,
             params: NetParams::default(),
             seed: 0,
-            max_events: u64::MAX,
             schedule: Schedule::Fifo,
         }
     }
@@ -78,13 +76,6 @@ impl SimBuilder {
         self
     }
 
-    /// Caps the number of processed events (a safety net against
-    /// event loops; the default is effectively unlimited).
-    pub fn event_limit(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
     /// Selects the same-time tie-break policy (default:
     /// [`Schedule::Fifo`], which is bit-identical to the historical
     /// kernel). Non-default policies deterministically permute the
@@ -109,8 +100,6 @@ impl SimBuilder {
             kernel,
             procs,
             started: false,
-            events_processed: 0,
-            max_events: self.max_events,
         }
     }
 }
@@ -124,8 +113,6 @@ pub struct Sim<P: Process> {
     kernel: Kernel<P::Msg, P::Cmd, P::Out>,
     procs: Vec<P>,
     started: bool,
-    events_processed: u64,
-    max_events: u64,
 }
 
 impl<P: Process> Sim<P> {
@@ -193,20 +180,6 @@ impl<P: Process> Sim<P> {
         self.kernel.schedule(at, Ev::Fd { at: at_process, ev });
     }
 
-    /// Schedules a whole batch of failure-detector edges.
-    pub fn schedule_fd_plan(&mut self, plan: impl IntoIterator<Item = (Time, Pid, FdEvent)>) {
-        for (at, p, ev) in plan {
-            self.schedule_fd_event(at, p, ev);
-        }
-    }
-
-    /// Recovers `p` at time `at` (crash-recovery model: the process
-    /// resumes with its pre-crash state, as if from perfect stable
-    /// storage; messages addressed to it while down are lost).
-    pub fn schedule_recover(&mut self, at: Time, p: Pid) {
-        self.schedule_injection(at, Injection::Recover(p));
-    }
-
     /// Schedules one fault [`Injection`] at time `at`.
     ///
     /// # Panics
@@ -235,10 +208,6 @@ impl<P: Process> Sim<P> {
     /// Runs the simulation up to and including time `until`; returns
     /// the number of events processed. The simulated clock ends at
     /// exactly `until`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured event limit is exceeded.
     pub fn run_until(&mut self, until: Time) -> usize {
         self.ensure_started();
         let mut processed = 0;
@@ -246,23 +215,9 @@ impl<P: Process> Sim<P> {
             self.kernel.now = scheduled.at;
             self.dispatch(scheduled.ev);
             processed += 1;
-            self.events_processed += 1;
-            assert!(
-                self.events_processed <= self.max_events,
-                "event limit exceeded at {} (runaway event loop?)",
-                self.kernel.now
-            );
         }
         self.kernel.now = until;
         processed
-    }
-
-    /// Runs until the event queue drains or time `cap` is reached,
-    /// whichever comes first; returns the final simulated time. Useful
-    /// for letting in-flight work settle at the end of a measurement.
-    pub fn run_until_quiescent(&mut self, cap: Time) -> Time {
-        self.run_until(cap);
-        self.kernel.now
     }
 
     /// Drains the outputs emitted (via [`crate::Ctx::emit`]) since the
@@ -622,27 +577,6 @@ mod tests {
             s.take_outputs()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit exceeded")]
-    fn event_limit_catches_runaways() {
-        /// Pathological process that endlessly messages itself.
-        struct Loopy;
-        impl Process for Loopy {
-            type Msg = u64;
-            type Cmd = ();
-            type Out = ();
-            fn on_command(&mut self, ctx: &mut dyn Ctx<u64, ()>, _cmd: ()) {
-                ctx.send(ctx.pid(), 0);
-            }
-            fn on_message(&mut self, ctx: &mut dyn Ctx<u64, ()>, _from: Pid, msg: u64) {
-                ctx.send(ctx.pid(), msg + 1);
-            }
-        }
-        let mut s = SimBuilder::new(1).event_limit(1000).build_with(|_| Loopy);
-        s.schedule_command(Time::ZERO, Pid::new(0), ());
-        s.run_until(Time::from_millis(1));
     }
 
     #[test]

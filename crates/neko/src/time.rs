@@ -19,7 +19,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(t - Time::ZERO, Dur::from_millis(3));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 /// A span of simulated time.
@@ -31,7 +30,6 @@ pub struct Time(u64);
 /// assert_eq!(Dur::from_millis(3).as_millis_f64(), 3.0);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dur(u64);
 
 impl Time {
@@ -69,12 +67,6 @@ impl Time {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// The span from `earlier` to `self`, saturating to zero if
-    /// `earlier` is later than `self`.
-    pub fn saturating_since(self, earlier: Time) -> Dur {
-        Dur(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Dur {
@@ -96,34 +88,6 @@ impl Dur {
     /// A span of `s` seconds.
     pub const fn from_secs(s: u64) -> Self {
         Dur(s * 1_000_000)
-    }
-
-    /// A span of `ms` (possibly fractional) milliseconds, rounded to
-    /// the nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or not finite.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(
-            ms.is_finite() && ms >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        Dur((ms * 1_000.0).round() as u64)
-    }
-
-    /// A span of `s` (possibly fractional) seconds, rounded to the
-    /// nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        Dur((s * 1_000_000.0).round() as u64)
     }
 
     /// This span as integer microseconds.
@@ -248,8 +212,6 @@ mod tests {
         assert_eq!(Time::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(Dur::from_millis(5).as_micros(), 5_000);
         assert_eq!(Dur::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(Dur::from_millis_f64(1.5).as_micros(), 1_500);
-        assert_eq!(Dur::from_secs_f64(0.25).as_micros(), 250_000);
     }
 
     #[test]
@@ -265,7 +227,6 @@ mod tests {
 
     #[test]
     fn saturating_behaviour() {
-        assert_eq!(Time::ZERO.saturating_since(Time::from_millis(1)), Dur::ZERO);
         assert_eq!(Time::MAX + Dur::from_millis(1), Time::MAX);
         assert_eq!(Dur::from_millis(1) - Dur::from_millis(2), Dur::ZERO);
     }
@@ -276,11 +237,5 @@ mod tests {
         assert!(Dur::from_micros(999) < Dur::from_millis(1));
         assert_eq!(Time::from_millis(1).to_string(), "1.000ms");
         assert_eq!(Dur::from_micros(1500).to_string(), "1.500ms");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_duration_panics() {
-        let _ = Dur::from_millis_f64(-1.0);
     }
 }

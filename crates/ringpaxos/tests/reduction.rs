@@ -236,6 +236,30 @@ fn buffered_duplicate_decision_stays_in_its_instance<S: Strategy<u32>>() {
     assert_eq!(ns[2].pending(), 1, "p3's own broadcast is still undecided");
 }
 
+/// Incoming consensus traffic opens the current instance even at a
+/// process that holds no payload of it: p3 hears instance 1's
+/// decision before any data, with nothing pending, and must still
+/// apply it once the data arrives.
+fn decision_opens_the_instance_without_pending<S: Strategy<u32>>() {
+    let mut ns = nodes::<S>(3);
+    let to_p3 = decide_without_p3(&mut ns, &[(0, 10)]);
+    assert_eq!(ns[0].instance(), 2);
+    let (decisions, datas): (Vec<_>, Vec<_>) = to_p3
+        .into_iter()
+        .filter(|(_, m)| is_decision::<S>(m, 1) || is_data::<S>(m))
+        .partition(|(_, m)| is_decision::<S>(m, 1));
+    assert!(
+        !decisions.is_empty(),
+        "instance 1's decision crossed the wire"
+    );
+    let mut out = Vec::new();
+    for (from, m) in decisions.into_iter().chain(datas) {
+        ns[2].on_message(Pid::new(from), m, &mut out);
+    }
+    assert_eq!(ns[2].delivered_log(), ns[0].delivered_log());
+    assert_eq!(ns[2].instance(), ns[0].instance());
+}
+
 /// The Data multicast of a fresh broadcast from p1.
 fn data_of_a_broadcast<S: Strategy<u32>>(ns: &mut [FdAbcast<u32, S>]) -> Msg<S> {
     let mut out: Vec<Act<S>> = Vec::new();
@@ -299,6 +323,7 @@ for_both_strategies!(
     concurrent_broadcasts_are_totally_ordered,
     back_to_back_broadcasts_all_ordered,
     buffered_duplicate_decision_stays_in_its_instance,
+    decision_opens_the_instance_without_pending,
     duplicate_data_is_idempotent,
     suspicion_relays_pending_payloads,
 );
@@ -308,8 +333,8 @@ for_both_strategies!(
 fn fd_never_blocks_on_a_missing_payload() {
     let mut ns = nodes::<Bodies>(3);
     let to_p3 = decide_without_p3(&mut ns, &[(0, 10)]);
-    // p3 never receives the payload, only the decision; its own
-    // broadcast keeps an instance open for the decision to land in.
+    // p3 never receives the payload, only the decision, after a
+    // broadcast of its own.
     let mut out = Vec::new();
     ns[2].broadcast(30, &mut out);
     for (from, m) in to_p3
