@@ -441,10 +441,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     /// by construction.
     pub fn stall_probe(&mut self, out: &mut Actions<S, P>) {
         self.repair(Repair::Probe, out);
-        let sig = (
-            self.k,
-            self.instances.get(&self.k).map(Consensus::debug_state),
-        );
+        let sig = (self.k, self.instances.get(&self.k).map(Consensus::progress));
         if self.last_probe.as_ref() == Some(&sig) {
             self.stalled_probes += 1;
         } else {

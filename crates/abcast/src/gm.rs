@@ -252,7 +252,7 @@ pub struct GmAbcast<P: Payload> {
     others_cache: Vec<Pid>,
     others_view: Option<ViewId>,
     /// View-change progress signature at the last repair probe.
-    last_vc_probe: Option<(ViewId, Option<membership::VcSnapshot>)>,
+    last_vc_probe: Option<(ViewId, Option<membership::VcProgress>)>,
     /// Consecutive probes with a frozen in-progress view change.
     stalled_vc_probes: u32,
 }
@@ -343,7 +343,7 @@ impl<P: Payload> GmAbcast<P> {
     /// stalls. Quiet whenever no view change is in progress or it is
     /// progressing, so healthy runs are untouched.
     pub fn vc_probe(&mut self, out: &mut Vec<GmCastAction<P>>) {
-        let sig = (self.gm.view().id(), self.gm.debug_vc());
+        let sig = (self.gm.view().id(), self.gm.vc_progress());
         let stalled = self.gm.in_view_change() && self.last_vc_probe.as_ref() == Some(&sig);
         self.last_vc_probe = Some(sig);
         if stalled {

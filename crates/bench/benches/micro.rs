@@ -4,42 +4,20 @@
 //! `micro`) so kernel-speed regressions show up in the tracked
 //! trajectory.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the kernel report measures the simulator's own speed in wall-clock events per second"
+)]
+
 use std::time::Instant;
 
-use figures::{effort, Effort, Json, Report};
+use figures::{allocations, effort, Effort, Json, Report};
 use neko::{Ctx, Dur, Message, NetworkModel, Pid, Process, Sim, SimBuilder, Time};
 
 /// Counts every heap allocation this bench binary makes, so the
 /// kernel report can state allocations per delivered message.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers all real work to `System`; only a counter is added.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+static ALLOC: figures::CountingAlloc = figures::CountingAlloc;
 
 /// One process holding a large population of staggered, re-arming
 /// timers — the failure-detector-heartbeat shape that dominates the
@@ -77,7 +55,7 @@ impl Process for HeartbeatStorm {
 
 /// A protocol-shaped payload (heap-backed, like real abcast messages).
 #[derive(Clone, Debug)]
-struct Payload(#[allow(dead_code)] Vec<u64>);
+struct Payload(#[allow(dead_code, reason = "carried for its heap cost, never read")] Vec<u64>);
 
 impl Message for Payload {}
 

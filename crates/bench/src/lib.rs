@@ -17,8 +17,10 @@
 //! windows, fewer replications, sparser sweeps), and
 //! `ATOMBENCH_FULL=1` for longer, tighter-CI runs.
 
+mod alloc;
 mod results;
 
+pub use alloc::{allocations, CountingAlloc};
 pub use results::{results_path, Json, Report};
 
 use neko::Dur;

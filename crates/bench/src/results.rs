@@ -28,6 +28,12 @@
 //! Re-running one bench replaces only its own figures; the rest of
 //! the file survives. `ATOMBENCH_RESULTS` overrides the output path.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the `generated_unix` stamp reads the wall clock unless `SOURCE_DATE_EPOCH` is set; \
+              it labels a results file and never enters a simulation"
+)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 

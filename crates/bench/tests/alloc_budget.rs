@@ -10,6 +10,12 @@
 //! into the fan-out path, a per-event box in the scheduler — not on
 //! allocator noise or small protocol tweaks.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the allocation counter is a thread-local `Cell`, so tests on parallel harness threads \
+              never bill each other"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -21,7 +27,9 @@ use study::{run_once, Algorithm, FaultScript, RunParams, SingleRun};
 /// binaries, so this global allocator is scoped to this file; the
 /// count is per thread, so the tests of this file, which the harness
 /// runs on parallel threads, never bill each other (a simulated run
-/// allocates on its calling thread only).
+/// allocates on its calling thread only). That is why this file does
+/// not use `figures::CountingAlloc`: its one process-wide counter
+/// would bill each test for the allocations of the others.
 struct CountingAlloc;
 
 thread_local! {

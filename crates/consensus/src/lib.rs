@@ -27,8 +27,8 @@
 //! ```
 
 // Protocol state machines must be bit-deterministic and free of
-// ambient effects; atomlint rule D5 denies `unsafe` here, and this
-// attribute makes the same invariant compiler-enforced.
+// ambient effects; this attribute is determinism rule D5 (no
+// `unsafe`), the rest are in the root clippy.toml.
 #![forbid(unsafe_code)]
 
 mod machine;

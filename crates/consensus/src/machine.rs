@@ -171,9 +171,14 @@ impl<V: Value> Consensus<V> {
         self.proposed
     }
 
-    /// Diagnostic snapshot: `(round, phase, estimates, acks)`.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (u32, &'static str, usize, usize) {
+    /// Progress signature: `(round, phase, estimates, acks)`.
+    ///
+    /// `FdAbcast::stall_probe` compares two successive signatures to
+    /// tell a stalled instance from a slow one, and nudges the group
+    /// only when they are equal. The contract is therefore: any
+    /// progress this machine makes (a new round, phase, estimate or
+    /// ack, or a decision) must change the signature.
+    pub fn progress(&self) -> (u32, &'static str, usize, usize) {
         let phase = match self.phase {
             Phase::Idle => "idle",
             Phase::CollectEstimates => "collect-estimates",

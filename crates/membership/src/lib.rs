@@ -17,14 +17,14 @@
 //! [`GmAction`] for the wire protocol and outputs.
 
 // Protocol state machines must be bit-deterministic and free of
-// ambient effects; atomlint rule D5 denies `unsafe` here, and this
-// attribute makes the same invariant compiler-enforced.
+// ambient effects; this attribute is determinism rule D5 (no
+// `unsafe`), the rest are in the root clippy.toml.
 #![forbid(unsafe_code)]
 
 mod machine;
 mod msg;
 mod view;
 
-pub use machine::{Membership, UnstableSupplier, VcSnapshot};
+pub use machine::{Membership, UnstableSupplier, VcProgress};
 pub use msg::{GmAction, GmMsg, Unstable, ViewProposal};
 pub use view::{View, ViewId};

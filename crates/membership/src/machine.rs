@@ -39,9 +39,10 @@ use crate::view::{View, ViewId};
 /// the machine needs to flush.
 pub type UnstableSupplier<'a, U> = &'a mut dyn FnMut() -> U;
 
-/// Diagnostic snapshot of an in-progress view change:
-/// `(excluded, joining, exchanges, proposed, consensus state)`.
-pub type VcSnapshot = (usize, usize, usize, bool, (u32, &'static str, usize, usize));
+/// Progress signature of an in-progress view change:
+/// `(excluded, joining, exchanges, proposed, consensus progress)`,
+/// as returned by [`Membership::vc_progress`].
+pub type VcProgress = (usize, usize, usize, bool, (u32, &'static str, usize, usize));
 
 #[derive(Clone, Debug)]
 enum Mode {
@@ -134,17 +135,22 @@ impl<U: Unstable> Membership<U> {
         self.needs_poll
     }
 
-    /// Diagnostic snapshot of an in-progress view change:
-    /// `(excluded, joining, exchanges, proposed, consensus state)`.
-    #[doc(hidden)]
-    pub fn debug_vc(&self) -> Option<VcSnapshot> {
+    /// Progress signature of the in-progress view change, `None` when
+    /// none is in progress.
+    ///
+    /// `GmAbcast::vc_probe` compares two successive signatures and
+    /// re-sends the flush and consensus state only when they are
+    /// equal. The contract is therefore: any progress of the view
+    /// change (an exclusion, a join, a flush exchange, the proposal or
+    /// any step of its consensus) must change the signature.
+    pub fn vc_progress(&self) -> Option<VcProgress> {
         self.vc.as_ref().map(|vc| {
             (
                 vc.excluded.len(),
                 vc.joining.len(),
                 vc.exchanges.len(),
                 vc.proposed,
-                vc.cons.debug_state(),
+                vc.cons.progress(),
             )
         })
     }

@@ -143,7 +143,7 @@ pub(crate) struct Scheduled<M, C> {
     pub(crate) at: Time,
     /// Insertion sequence number (tests fingerprint FIFO rank with it;
     /// the tie-break itself already happened inside the wheel).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code, reason = "only the tests read it"))]
     pub(crate) seq: u64,
     pub(crate) ev: Ev<M, C>,
 }

@@ -34,6 +34,13 @@
 //! detector ([`RealConfig::heartbeat`]), and a logical multicast is
 //! atomic because it is a loop of channel sends.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the real-time backend runs each process on an OS thread against the wall clock, \
+              with shared counters and locks; no simulated run reaches this module"
+)]
+
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -534,7 +541,10 @@ impl<M: Message + Send, O> Ctx<M, O> for RealCtx<'_, M, O> {
 /// wheel, pause/resume for crash injections, and the forced-edge mask
 /// for scripted suspicions — all around the untouched [`Process`]
 /// handlers.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the thread entry point takes the state it owns by value"
+)]
 fn shell<P>(
     pid: Pid,
     n: usize,

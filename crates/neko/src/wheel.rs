@@ -36,7 +36,7 @@
 //! cancel exists for direct users and the differential tests. The
 //! tombstone set is a `BTreeSet`: it is only ever probed by key, but
 //! a deterministic structure keeps the queue free of hash-order state
-//! by construction (atomlint rule D1) rather than by argument.
+//! by construction (clippy.toml rule D1) rather than by argument.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};

@@ -20,6 +20,11 @@
 //! runs in about an hour at the measured explorer throughput (see
 //! `explore_throughput`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "prints how long the exploration took in wall-clock time; verdicts never read the clock"
+)]
+
 use study::explore::Explorer;
 
 fn env_u64(key: &str, default: u64) -> u64 {

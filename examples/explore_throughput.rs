@@ -12,38 +12,20 @@
 //!     cargo run --release --example explore_throughput
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#![expect(
+    clippy::disallowed_methods,
+    reason = "measures explored tuples per wall-clock second"
+)]
+
 use std::time::Instant;
 
-use figures::Report;
+use figures::{allocations, Report};
 use study::explore::Explorer;
 
 /// Counts every allocator hit so the program can report allocations
 /// per tuple.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers all real work to `System`; only a counter is added.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: figures::CountingAlloc = figures::CountingAlloc;
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -56,14 +38,14 @@ fn env_u64(key: &str, default: u64) -> u64 {
 /// `large` keeps or drops the n = 64 tuple class — dropping it gives
 /// the small-group mix comparable with pre-multi-word baselines.
 fn pass(seed: u64, budget: usize, large: bool) -> (f64, f64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let start = Instant::now();
     let outcome = Explorer::new(seed)
         .with_budget(budget)
         .with_large_group(if large { Some(64) } else { None })
         .explore();
     let secs = start.elapsed().as_secs_f64();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocs = allocations() - before;
     assert!(
         outcome.repro.is_none(),
         "throughput program hit an invariant violation: {:?}",
