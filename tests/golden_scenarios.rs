@@ -530,3 +530,89 @@ fn batched_saturation_is_pinned() {
         assert_eq!(res.probes, trail, "{alg:?}: probe trail");
     }
 }
+
+/// GM's view-change machinery on four timelines beyond the paper's:
+/// a crash-recovery and a healed partition (both end with a stale
+/// member told where the group is, rejoining and state-transferred), a
+/// rolling churn of two members, and a suspicion burst against p3 with
+/// `T_M` = 150 ms, long enough that p3 is excluded, its joins are
+/// refused while it stays suspected, and it is readmitted and catches
+/// up once trusted. Each replication pins `(mean latency bits,
+/// measured, undelivered, wire messages)`.
+///
+/// The pins exercise the rejoin path: a build that logged each
+/// membership event counted, over the three replications, 3 exclusions
+/// (by a stale member receiving a newer view's `Welcome`), 12 `Join`s
+/// received, 3 readmissions and 6 `StateReq`s on the crash-recovery
+/// timeline; the same on the healed partition; 6, 23, 6 and 14 under
+/// churn; and under the burst 33 exclusions by view-change decision,
+/// 38 `Join`s refused because the joiner was still suspected, 33
+/// readmissions and 76 `StateReq`s.
+#[test]
+fn gm_view_change_timelines_are_pinned() {
+    use study::ScriptTime;
+    let ms = Dur::from_millis;
+    let params = quick(3, 100.0);
+    let qos = fdet::QosParams::new()
+        .with_mistake_recurrence(ms(400))
+        .with_mistake_duration(ms(150));
+    let cases = [
+        (
+            FaultScript::crash_recover(Pid::new(0), ms(500), ms(500), ms(10)),
+            [
+                (0x402a8cdef2cc5be0, 195, 0, 907),
+                (0x402a70d0e5604189, 192, 0, 871),
+                (0x402afc71f7679ec8, 193, 0, 881),
+            ],
+        ),
+        (
+            FaultScript::healing_partition(
+                vec![vec![Pid::new(0)], vec![Pid::new(1), Pid::new(2)]],
+                ms(500),
+                ms(500),
+                ms(10),
+            ),
+            [
+                (0x403d167f7ed89bc1, 205, 0, 912),
+                (0x4041257bef0f2bca, 206, 0, 888),
+                (0x4045b7ac39a733a8, 212, 0, 919),
+            ],
+        ),
+        (
+            FaultScript::default()
+                .churn(
+                    ScriptTime::AfterWarmup(ms(300)),
+                    Pid::new(1),
+                    ms(300),
+                    ms(10),
+                )
+                .churn(
+                    ScriptTime::AfterWarmup(ms(1100)),
+                    Pid::new(2),
+                    ms(300),
+                    ms(10),
+                ),
+            [
+                (0x4029c3705def57ce, 180, 0, 859),
+                (0x4029c7ab370cbf33, 183, 0, 862),
+                (0x402b7112bf406ee7, 195, 0, 914),
+            ],
+        ),
+        (
+            FaultScript::default().suspicion_burst(
+                ScriptTime::AfterWarmup(ms(200)),
+                ScriptTime::AfterWarmup(ms(1200)),
+                qos,
+                Some(vec![Pid::new(2)]),
+            ),
+            [
+                (0x403206ba7a572cc1, 205, 0, 1077),
+                (0x4038d5622a3159cf, 206, 0, 1122),
+                (0x403531b6f7b12bdb, 212, 0, 1132),
+            ],
+        ),
+    ];
+    for (script, golden) in &cases {
+        check_wire(script, &params, Algorithm::Gm, golden);
+    }
+}
