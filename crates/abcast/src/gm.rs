@@ -11,13 +11,14 @@
 //! (see [`neko::Message::try_merge`]) — the aggregation the paper
 //! calls essential under high load.
 //!
-//! When a member is suspected, the [`membership`] service excludes it
-//! through a view change; unstable messages (everything not yet known
-//! to be both stable and locally delivered) are exchanged and the
-//! agreed union is delivered at the view boundary. A wrongly excluded
-//! process learns of its exclusion from the view-change consensus it
-//! takes part in, rejoins, and catches up with a **state transfer**
-//! (the missed suffix of the delivery log, served by the sequencer).
+//! When a member is suspected, a view change (`view_change.rs`, over
+//! the [`membership`] crate's views and wire messages) excludes it;
+//! unstable messages (everything not yet known to be both stable and
+//! locally delivered) are exchanged and the agreed union is delivered
+//! at the view boundary. A wrongly excluded process learns of its
+//! exclusion from the view-change consensus it takes part in, rejoins,
+//! and catches up with a **state transfer** (the missed suffix of the
+//! delivery log, served by the sequencer).
 //!
 //! The **non-uniform variant** of the paper's Section 8 is provided as
 //! [`Uniformity::NonUniform`]: A-delivery happens as soon as a process
@@ -29,11 +30,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fdet::SuspectSet;
-use membership::{GmAction, GmMsg, Membership, Unstable, View, ViewId};
-use neko::{DestSet, FdEvent, Pid};
+use membership::{GmMsg, View, ViewId};
+use neko::{DestSet, Pid};
 use rbcast::{SeqWindow, WatermarkSet, WindowMap};
 
 use crate::common::{MsgId, Payload};
+
+mod view_change;
+
+use view_change::{Mode, Vc, VcProgress};
 
 /// Whether the algorithm provides uniform or non-uniform total order
 /// (Section 8 trade-off).
@@ -67,7 +72,9 @@ pub struct Bundle<P> {
     pub delivered_sn: u64,
 }
 
-impl<P: Payload> Unstable for Bundle<P> {
+impl<P: Payload> Bundle<P> {
+    /// Merges another process's bundle into this one (the union of the
+    /// unstable messages).
     fn merge(&mut self, other: &Self) {
         for (id, (sn, p)) in &other.msgs {
             match self.msgs.get_mut(id) {
@@ -90,16 +97,8 @@ impl<P: Payload> Unstable for Bundle<P> {
 /// The per-view store: payload and assigned sn, if any, per message.
 type Store<P> = WindowMap<MsgId, (Option<u64>, P)>;
 
-/// The unstable bundle a view change snapshots from the store.
-fn snapshot<P: Payload>(store: &Store<P>, delivered_sn: u64) -> Bundle<P> {
-    Bundle {
-        msgs: store
-            .iter()
-            .map(|(id, (sn, p))| (id, (*sn, p.clone())))
-            .collect(),
-        delivered_sn,
-    }
-}
+/// Messages held back, per view, until that view is installed.
+type Buffered<M> = BTreeMap<ViewId, Vec<(Pid, M)>>;
 
 /// Wire messages of the GM algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -212,7 +211,28 @@ pub const NONUNIFORM_ACK_EVERY: u64 = 16;
 pub struct GmAbcast<P: Payload> {
     me: Pid,
     uniformity: Uniformity,
-    gm: Membership<Bundle<P>>,
+    // ---- membership (see `view_change.rs`) ----
+    /// The current view (the last one installed as a member).
+    view: View,
+    mode: Mode,
+    vc: Option<Vc<P>>,
+    /// Every process that has ever been a member — join requests go to
+    /// all of them, because the view that excluded us may itself have
+    /// been superseded (its members may all be excluded by now).
+    universe: BTreeSet<Pid>,
+    pending_joins: BTreeSet<Pid>,
+    suspects: SuspectSet,
+    /// View-change traffic for views we have not installed yet.
+    future_gm: Buffered<GmMsg<Bundle<P>>>,
+    /// A view was installed in this entry point and its follow-up has
+    /// not run yet.
+    install_pending: bool,
+    join_attempts: u64,
+    /// Set by the stall probe: the current view change has made no
+    /// progress for a while, so a Welcome for the very next view may
+    /// be adopted even though our own consensus on it is still
+    /// nominally in flight (its decision was lost to us).
+    stale_jump_armed: bool,
     // ---- per-view protocol state (reset at each install) ----
     // Sequence numbers restart at 0 with every view and are assigned
     // densely, so the sn-keyed maps are windows indexed by sn.
@@ -245,14 +265,14 @@ pub struct GmAbcast<P: Payload> {
     unsent: Vec<(MsgId, P)>,
     catching_up: bool,
     catchup_buf: Vec<(Pid, GmCastMsg<P>)>,
-    future_inview: BTreeMap<ViewId, Vec<(Pid, GmCastMsg<P>)>>,
+    future_inview: Buffered<GmCastMsg<P>>,
     /// Flat copy of the current view minus us, rebuilt when the view
     /// id changes — the in-view multicast paths clone this instead of
     /// re-filtering the member tree per message.
     others_cache: Vec<Pid>,
     others_view: Option<ViewId>,
     /// View-change progress signature at the last repair probe.
-    last_vc_probe: Option<(ViewId, Option<membership::VcProgress>)>,
+    last_vc_probe: Option<(ViewId, Option<VcProgress>)>,
     /// Consecutive probes with a frozen in-progress view change.
     stalled_vc_probes: u32,
 }
@@ -260,11 +280,29 @@ pub struct GmAbcast<P: Payload> {
 impl<P: Payload> GmAbcast<P> {
     /// Creates the endpoint for `me` in a group that bootstraps with
     /// all `n` processes as view `v0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is not one of the `n` processes.
     pub fn new(me: Pid, n: usize, suspects: &SuspectSet, uniformity: Uniformity) -> Self {
+        let view = View::initial(n);
+        assert!(
+            view.contains(me),
+            "process must start as a member of its view"
+        );
         GmAbcast {
             me,
             uniformity,
-            gm: Membership::new(me, View::initial(n), suspects),
+            universe: view.members().clone(),
+            view,
+            mode: Mode::Member,
+            vc: None,
+            pending_joins: BTreeSet::new(),
+            suspects: suspects.clone(),
+            future_gm: BTreeMap::new(),
+            install_pending: false,
+            join_attempts: 0,
+            stale_jump_armed: false,
             store: WindowMap::new(),
             assigned: WindowMap::new(),
             by_sn: SeqWindow::new(),
@@ -295,9 +333,9 @@ impl<P: Payload> GmAbcast<P> {
     /// The current view's members other than us, as an owned vector
     /// (the action type carries ownership). Cached per view id.
     fn others_vec(&mut self) -> Vec<Pid> {
-        let vid = self.gm.view().id();
+        let vid = self.view.id();
         if self.others_view != Some(vid) {
-            self.others_cache = self.gm.view().others(self.me);
+            self.others_cache = self.view.others(self.me);
             self.others_view = Some(vid);
         }
         self.others_cache.clone()
@@ -310,12 +348,12 @@ impl<P: Payload> GmAbcast<P> {
 
     /// The current view.
     pub fn view(&self) -> &View {
-        self.gm.view()
+        &self.view
     }
 
     /// Whether this process is currently excluded from the group.
     pub fn is_excluded(&self) -> bool {
-        !self.gm.is_member()
+        !self.is_member()
     }
 
     /// Whether a state transfer is in progress.
@@ -331,46 +369,15 @@ impl<P: Payload> GmAbcast<P> {
 
     /// Whether a view change is currently in progress.
     pub fn in_view_change(&self) -> bool {
-        self.gm.in_view_change()
-    }
-
-    /// Periodic view-change repair probe. Call at a coarse interval
-    /// (the [`crate::GmNode`] shell uses a timer): when a view change
-    /// has made *no* observable progress since the last probe, re-send
-    /// our flush exchange and the view-change consensus's directed
-    /// state ([`membership::Membership::vc_resend`]) — unwedging a
-    /// member-to-be that missed the flush and cross-round consensus
-    /// stalls. Quiet whenever no view change is in progress or it is
-    /// progressing, so healthy runs are untouched.
-    pub fn vc_probe(&mut self, out: &mut Vec<GmCastAction<P>>) {
-        let sig = (self.gm.view().id(), self.gm.vc_progress());
-        let stalled = self.gm.in_view_change() && self.last_vc_probe.as_ref() == Some(&sig);
-        self.last_vc_probe = Some(sig);
-        if stalled {
-            self.stalled_vc_probes += 1;
-        } else {
-            self.stalled_vc_probes = 0;
-        }
-        // Two consecutive frozen probes (≥ 2 intervals of zero
-        // progress) separate a genuine wedge from a view change that
-        // is merely slow under load.
-        if self.stalled_vc_probes < 2 {
-            return;
-        }
-        // Believe straggler Welcomes from here on: our copy of the
-        // view-change decision is apparently lost.
-        self.gm.arm_stale_jump();
-        let mut gm_out = Vec::new();
-        self.gm.vc_resend(&mut gm_out);
-        self.process_gm(gm_out, out);
+        self.vc.is_some()
     }
 
     fn is_sequencer(&self) -> bool {
-        self.gm.is_member() && self.gm.view().sequencer() == self.me
+        self.is_member() && self.view.sequencer() == self.me
     }
 
     fn can_send(&self) -> bool {
-        self.gm.is_member() && !self.gm.in_view_change() && !self.catching_up
+        self.is_member() && !self.in_view_change() && !self.catching_up
     }
 
     /// `A-broadcast(payload)`; returns the new message's id. While the
@@ -390,19 +397,12 @@ impl<P: Payload> GmAbcast<P> {
         id
     }
 
-    /// Re-sends the join request (shell timer callback).
-    pub fn request_join(&mut self, out: &mut Vec<GmCastAction<P>>) {
-        let mut gm_out = Vec::new();
-        self.gm.request_join(&mut gm_out);
-        self.process_gm(gm_out, out);
-    }
-
     /// Re-sends the state request (shell timer callback). The request
     /// goes to every member we know of — any of them can serve it, and
     /// the sequencer may have crashed since we were welcomed.
     pub fn request_state(&mut self, out: &mut Vec<GmCastAction<P>>) {
-        if self.catching_up && self.gm.is_member() {
-            for m in self.gm.view().others(self.me) {
+        if self.catching_up && self.is_member() {
+            for m in self.view.others(self.me) {
                 out.push(GmCastAction::Send(
                     m,
                     GmCastMsg::StateReq {
@@ -411,19 +411,6 @@ impl<P: Payload> GmAbcast<P> {
                 ));
             }
         }
-    }
-
-    /// Handles a failure-detector edge.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Vec<GmCastAction<P>>) {
-        let Self {
-            gm,
-            store,
-            delivered_sn,
-            ..
-        } = self;
-        let mut gm_out = Vec::new();
-        gm.on_fd(ev, &mut || snapshot(store, *delivered_sn), &mut gm_out);
-        self.process_gm(gm_out, out);
     }
 
     /// Handles a wire message.
@@ -447,7 +434,7 @@ impl<P: Payload> GmAbcast<P> {
         // flush delivers the agreed bundle instead, and `Data` is
         // still accepted so origins can re-send undelivered payloads
         // in the new view.
-        let frozen = self.gm.in_view_change();
+        let frozen = self.in_view_change();
         match msg {
             GmCastMsg::Data { view, id, payload } => match self.classify(view) {
                 ViewRelation::Current => self.handle_data(id, payload, out),
@@ -506,18 +493,11 @@ impl<P: Payload> GmAbcast<P> {
                 ViewRelation::Past => self.notify_stale(from, out),
             },
             GmCastMsg::Gm(m) => {
-                let Self {
-                    gm,
-                    store,
-                    delivered_sn,
-                    ..
-                } = self;
-                let mut gm_out = Vec::new();
-                gm.on_message(from, m, &mut || snapshot(store, *delivered_sn), &mut gm_out);
-                self.process_gm(gm_out, out);
+                self.handle_gm(from, m, out);
+                self.finish_installs(out);
             }
             GmCastMsg::StateReq { from_index } => {
-                if self.gm.is_member() && !self.catching_up {
+                if self.is_member() && !self.catching_up {
                     let from_index = (from_index as usize).min(self.delivered_log.len());
                     out.push(GmCastAction::Send(
                         from,
@@ -525,7 +505,7 @@ impl<P: Payload> GmAbcast<P> {
                             from_index: from_index as u64,
                             entries: self.delivered_log[from_index..].to_vec(),
                             resume_sn: self.delivered_sn,
-                            view: self.gm.view().id(),
+                            view: self.view.id(),
                         },
                     ));
                 }
@@ -548,7 +528,7 @@ impl<P: Payload> GmAbcast<P> {
         out.push(GmCastAction::Multicast(
             dests,
             GmCastMsg::Data {
-                view: self.gm.view().id(),
+                view: self.view.id(),
                 id,
                 payload: payload.clone(),
             },
@@ -562,7 +542,7 @@ impl<P: Payload> GmAbcast<P> {
         }
         let sn = self.assigned.remove(id);
         self.store.insert(id, (sn, payload));
-        if self.gm.in_view_change() {
+        if self.in_view_change() {
             // Flush barrier: record the payload (the origin re-sends
             // undelivered ones in the next view) but make no ack or
             // delivery progress the snapshotted bundles cannot see.
@@ -589,7 +569,7 @@ impl<P: Payload> GmAbcast<P> {
         if self.batch_end.is_some()
             || self.unsequenced.is_empty()
             || !self.is_sequencer()
-            || self.gm.in_view_change()
+            || self.in_view_change()
         {
             return;
         }
@@ -622,7 +602,7 @@ impl<P: Payload> GmAbcast<P> {
         out.push(GmCastAction::Multicast(
             dests,
             GmCastMsg::Seq {
-                view: self.gm.view().id(),
+                view: self.view.id(),
                 sns: pairs,
             },
         ));
@@ -644,7 +624,7 @@ impl<P: Payload> GmAbcast<P> {
             }
         }
         if !to_ack.is_empty() && !self.is_sequencer() && self.uniformity == Uniformity::Uniform {
-            let view = self.gm.view();
+            let view = &self.view;
             out.push(GmCastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckSn {
@@ -666,7 +646,7 @@ impl<P: Payload> GmAbcast<P> {
             self.note_ack(sn, self.me);
             self.flush_deliveries(out);
         } else if self.uniformity == Uniformity::Uniform {
-            let view = self.gm.view();
+            let view = &self.view;
             out.push(GmCastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckSn {
@@ -688,7 +668,7 @@ impl<P: Payload> GmAbcast<P> {
         let held = self.delivered_sn;
         if held >= self.acked_up_to + NONUNIFORM_ACK_EVERY {
             self.acked_up_to = held;
-            let view = self.gm.view();
+            let view = &self.view;
             out.push(GmCastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckUpTo {
@@ -704,7 +684,7 @@ impl<P: Payload> GmAbcast<P> {
     fn advance_cumulative_stability(&mut self) {
         let mut min = u64::MAX;
         let mut any = false;
-        for &p in self.gm.view().members() {
+        for &p in self.view.members() {
             if p == self.me {
                 continue;
             }
@@ -733,11 +713,11 @@ impl<P: Payload> GmAbcast<P> {
                 1
             }
         };
-        if acked >= self.gm.view().majority() {
+        if acked >= self.view.majority() {
             self.deliverable.insert(sn, ());
         }
         // Stability: the prefix acked by the whole view.
-        let members = self.gm.view().len();
+        let members = self.view.len();
         while self
             .acks
             .get(self.stable_up_to)
@@ -755,7 +735,7 @@ impl<P: Payload> GmAbcast<P> {
         let announce_stability =
             self.uniformity == Uniformity::NonUniform && self.stable_up_to > self.pruned_up_to;
         if !newly.is_empty() || announce_stability {
-            let vid = self.gm.view().id();
+            let vid = self.view.id();
             let msg = if self.uniformity == Uniformity::Uniform {
                 GmCastMsg::Deliver {
                     view: vid,
@@ -834,67 +814,11 @@ impl<P: Payload> GmAbcast<P> {
         }
     }
 
-    // ---- membership plumbing ----
+    // ---- view boundary ----
 
-    fn process_gm(&mut self, gm_out: Vec<GmAction<Bundle<P>>>, out: &mut Vec<GmCastAction<P>>) {
-        for a in gm_out {
-            match a {
-                GmAction::Send(p, m) => out.push(GmCastAction::Send(p, GmCastMsg::Gm(m))),
-                GmAction::Multicast(dests, m) => {
-                    out.push(GmCastAction::Multicast(dests, GmCastMsg::Gm(m)))
-                }
-                GmAction::Install { view, unstable, .. } => self.apply_install(view, unstable, out),
-                GmAction::Excluded { .. } => {
-                    // Our own undelivered broadcasts would die with the
-                    // old view's store (the rejoin resets it); queue
-                    // them for re-issue once we are readmitted and
-                    // caught up — the state transfer marks the ones
-                    // the group delivered without us, and the rest go
-                    // out again under their original ids.
-                    let mine = self.own_undelivered();
-                    self.unsent.extend(mine);
-                    out.push(GmCastAction::JoinNeeded)
-                }
-                GmAction::Readmitted { view } => {
-                    // A member that fell a whole view behind adopts
-                    // the newer view through this same path without
-                    // passing through `Excluded` — save our own
-                    // undelivered broadcasts from the state reset.
-                    let mine = self.own_undelivered();
-                    for (id, p) in mine {
-                        if !self.unsent.iter().any(|(uid, _)| *uid == id) {
-                            self.unsent.push((id, p));
-                        }
-                    }
-                    self.catching_up = true;
-                    self.reset_view_state();
-                    for m in view.others(self.me) {
-                        out.push(GmCastAction::Send(
-                            m,
-                            GmCastMsg::StateReq {
-                                from_index: self.delivered_log.len() as u64,
-                            },
-                        ));
-                    }
-                    out.push(GmCastAction::CatchupNeeded);
-                }
-            }
-        }
-        // Driving contract of the membership machine.
-        while self.gm.needs_poll() {
-            let Self {
-                gm,
-                store,
-                delivered_sn,
-                ..
-            } = self;
-            let mut gm_out = Vec::new();
-            gm.poll(&mut || snapshot(store, *delivered_sn), &mut gm_out);
-            self.process_gm(gm_out, out);
-        }
-    }
-
-    fn apply_install(&mut self, view: View, unstable: Bundle<P>, out: &mut Vec<GmCastAction<P>>) {
+    /// Delivers a decided view change's agreed unstable set, then
+    /// starts the (already adopted) new view.
+    fn apply_install(&mut self, unstable: Bundle<P>, out: &mut Vec<GmCastAction<P>>) {
         // 1) Deliver the agreed unstable messages: sequenced ones in sn
         //    order, then unsequenced ones in id order (deterministic —
         //    every member delivers the same list).
@@ -950,7 +874,6 @@ impl<P: Payload> GmAbcast<P> {
 
         // 3) Fresh per-view state.
         self.reset_view_state();
-        debug_assert_eq!(self.gm.view().id(), view.id());
 
         // 4) Re-send in the new view.
         for (id, p) in mine {
@@ -959,12 +882,12 @@ impl<P: Payload> GmAbcast<P> {
 
         // 5) In-view traffic of this view that arrived before we
         //    installed it.
-        if let Some(buffered) = self.future_inview.remove(&view.id()) {
+        let current = self.view.id();
+        if let Some(buffered) = self.future_inview.remove(&current) {
             for (from, m) in buffered {
                 self.on_message(from, m, out);
             }
         }
-        let current = self.gm.view().id();
         self.future_inview.retain(|v, _| *v > current);
     }
 
@@ -991,13 +914,13 @@ impl<P: Payload> GmAbcast<P> {
         view: ViewId,
         out: &mut Vec<GmCastAction<P>>,
     ) {
-        if !self.catching_up || !self.gm.is_member() || view < self.gm.view().id() {
+        if !self.catching_up || !self.is_member() || view < self.view.id() {
             return; // stale response (responder behind us); retry covers it
         }
         for (id, p) in entries {
             self.deliver(id, p, out);
         }
-        if view == self.gm.view().id() {
+        if view == self.view.id() {
             // The responder answered from our view: resume in-view
             // delivery where it stood. (If it answered from a newer
             // view, the buffered installs will reset these anyway.)
@@ -1014,7 +937,7 @@ impl<P: Payload> GmAbcast<P> {
         // In-view traffic of the adopted view that arrived while we
         // were still excluded (buffered by `classify`): the rejoin
         // path installs no view, so drain it here.
-        let current = self.gm.view().id();
+        let current = self.view.id();
         if let Some(buffered) = self.future_inview.remove(&current) {
             for (from, m) in buffered {
                 self.on_message(from, m, out);
@@ -1035,7 +958,7 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     fn classify(&self, view: ViewId) -> ViewRelation {
-        if !self.gm.is_member() {
+        if !self.is_member() {
             // Excluded processes take no part in their stale view's
             // in-view traffic — the state transfer covers that gap —
             // but traffic of a *newer* view may be addressed to the
@@ -1045,13 +968,13 @@ impl<P: Payload> GmAbcast<P> {
             // broadcast reached the rejoining sequencer-to-be as
             // "stale" and was never sequenced). Buffer it like any
             // future-view traffic.
-            return if view > self.gm.view().id() {
+            return if view > self.view.id() {
                 ViewRelation::Future
             } else {
                 ViewRelation::Past
             };
         }
-        match view.cmp(&self.gm.view().id()) {
+        match view.cmp(&self.view.id()) {
             std::cmp::Ordering::Less => ViewRelation::Past,
             std::cmp::Ordering::Equal => ViewRelation::Current,
             std::cmp::Ordering::Greater => ViewRelation::Future,
@@ -1063,18 +986,11 @@ impl<P: Payload> GmAbcast<P> {
     /// (it recovered from a crash, or a partition healed, after the
     /// view change that excluded it). Nobody multicasts to a
     /// non-member, so without help it would stay wedged in its stale
-    /// view forever. Tell it where the group is; its membership
-    /// machine turns the news into an exclusion notice and a join
-    /// request.
+    /// view forever. Tell it where the group is; its `Welcome` handler
+    /// turns the news into an exclusion notice and a join request.
     fn notify_stale(&self, from: Pid, out: &mut Vec<GmCastAction<P>>) {
-        if self.gm.is_member() && !self.gm.in_view_change() && !self.gm.view().contains(from) {
-            out.push(GmCastAction::Send(
-                from,
-                GmCastMsg::Gm(GmMsg::Welcome {
-                    view: self.gm.view().id(),
-                    members: self.gm.view().members().clone(),
-                }),
-            ));
+        if self.is_member() && !self.in_view_change() && !self.view.contains(from) {
+            out.push(GmCastAction::Send(from, GmCastMsg::Gm(self.welcome())));
         }
     }
 
@@ -1095,6 +1011,8 @@ enum ViewRelation {
 
 #[cfg(test)]
 mod tests {
+    use neko::FdEvent;
+
     use super::*;
 
     type A = GmCastAction<u32>;
@@ -1131,6 +1049,11 @@ mod tests {
         queue: Vec<(usize, usize, GmCastMsg<u32>)>,
         delivered: Vec<Vec<(MsgId, u32)>>,
         flags: Vec<(usize, &'static str)>,
+        /// Every flag raised so far, in order.
+        seen: Vec<(usize, &'static str)>,
+        /// Whether an excluded process asks to rejoin (the shell's
+        /// join timer).
+        auto_rejoin: bool,
     }
 
     impl Net {
@@ -1139,6 +1062,8 @@ mod tests {
                 queue: Vec::new(),
                 delivered: vec![Vec::new(); n],
                 flags: Vec::new(),
+                seen: Vec::new(),
+                auto_rejoin: true,
             }
         }
 
@@ -1172,10 +1097,11 @@ mod tests {
                 );
                 // Shell behaviour: act on join/catchup flags directly.
                 let flags = std::mem::take(&mut self.flags);
+                self.seen.extend(&flags);
                 for (who, what) in flags {
                     let mut out = Vec::new();
                     match what {
-                        "join" => ns[who].request_join(&mut out),
+                        "join" if self.auto_rejoin => ns[who].request_join(&mut out),
                         "catchup" => ns[who].request_state(&mut out),
                         _ => {}
                     }
@@ -1315,7 +1241,7 @@ mod tests {
         let mut net = Net::new(3);
         // Start a view change but do not deliver its messages yet.
         net.suspect(&mut ns, 0, 2);
-        assert!(ns[0].gm.in_view_change());
+        assert!(ns[0].in_view_change());
         let id = net.bcast(&mut ns, 0, 77);
         assert_eq!(ns[0].backlog(), 1, "buffered during flush");
         net.drive_bounded(&mut ns, 5_000);
@@ -1428,6 +1354,211 @@ mod tests {
                 i + 1,
                 n.store.len()
             );
+        }
+    }
+
+    fn pids(ids: &[usize]) -> BTreeSet<Pid> {
+        ids.iter().map(|&i| Pid::new(i)).collect()
+    }
+
+    #[test]
+    fn welcome_naming_no_members_is_dropped() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut out = Vec::new();
+        let welcome = GmMsg::Welcome {
+            view: ViewId(5),
+            members: BTreeSet::new(),
+        };
+        ns[0].on_message(Pid::new(1), GmCastMsg::Gm(welcome), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(ns[0].view(), &View::initial(3));
+        assert!(!ns[0].is_excluded());
+    }
+
+    #[test]
+    fn suspicion_excludes_the_suspect() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        net.auto_rejoin = false;
+        net.suspect(&mut ns, 0, 2);
+        net.drive(&mut ns);
+        for n in &ns[..2] {
+            assert_eq!(n.view().members(), &pids(&[0, 1]), "at {}", n.me);
+        }
+        // The excluded (correct) process learnt of its exclusion from
+        // the consensus decision it took part in.
+        assert!(ns[2].is_excluded());
+        assert_eq!(net.seen, vec![(2, "join")]);
+    }
+
+    #[test]
+    fn excluded_process_rejoins_and_is_welcomed() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        net.suspect(&mut ns, 0, 2);
+        // Churn runs while the mistake persists; end it (T_M expires)…
+        net.drive_bounded(&mut ns, 2_000);
+        net.trust(&mut ns, 0, 2);
+        // …then everything settles with p3 back in.
+        net.drive(&mut ns);
+        for n in &ns {
+            assert_eq!(n.view().members(), &pids(&[0, 1, 2]), "at {}", n.me);
+        }
+        // Excluded, then readmitted by a Welcome (which starts the
+        // state transfer).
+        assert!(net.seen.contains(&(2, "join")));
+        assert!(net.seen.contains(&(2, "catchup")));
+    }
+
+    #[test]
+    fn sequencer_exclusion_promotes_next_member() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        net.auto_rejoin = false;
+        net.suspect(&mut ns, 1, 0); // p2 suspects the sequencer p1
+        net.drive(&mut ns);
+        assert_eq!(ns[1].view().members(), &pids(&[1, 2]));
+        assert_eq!(ns[1].view().sequencer(), Pid::new(1));
+    }
+
+    #[test]
+    fn join_requests_from_suspected_processes_cause_churn_until_trust() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        // p1 suspects p3 persistently (long T_M): exclusion, then p3's
+        // rejoin (honoured by p2) is followed by re-exclusion by p1,
+        // over and over — the behaviour behind the paper's Fig. 7.
+        net.suspect(&mut ns, 0, 2);
+        net.drive_bounded(&mut ns, 5_000);
+        let installs = ns[0].view().id().0;
+        assert!(
+            installs >= 3,
+            "churn: exclude + rejoin cycles, got {installs}"
+        );
+        // The mistake ends (T_M expires): the group stabilises with p3 in.
+        net.trust(&mut ns, 0, 2);
+        net.drive(&mut ns);
+        for n in &ns {
+            assert_eq!(n.view().members(), &pids(&[0, 1, 2]), "at {}", n.me);
+        }
+    }
+
+    #[test]
+    fn concurrent_suspicions_merge_into_the_view_change() {
+        let mut ns = nodes(5, Uniformity::Uniform);
+        let mut net = Net::new(5);
+        net.auto_rejoin = false;
+        // Two members suspect two different victims before any
+        // messages flow.
+        net.suspect(&mut ns, 0, 4);
+        net.suspect(&mut ns, 1, 3);
+        net.drive(&mut ns);
+        for n in &ns[..3] {
+            assert_eq!(n.view().members(), &pids(&[0, 1, 2]), "at {}", n.me);
+        }
+    }
+
+    #[test]
+    fn unstable_messages_are_united_in_the_install() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        net.auto_rejoin = false;
+        let a = net.bcast(&mut ns, 0, 1);
+        let b = net.bcast(&mut ns, 1, 2);
+        // p2 never receives `a`'s payload: only p1's flush carries it.
+        net.queue.retain(|(from, to, m)| {
+            !(*from == 0 && *to == 1 && matches!(m, GmCastMsg::Data { .. }))
+        });
+        net.suspect(&mut ns, 0, 2);
+        net.drive(&mut ns);
+        for n in &ns[..2] {
+            assert_eq!(n.delivered_log(), vec![(a, 1), (b, 2)], "at {}", n.me);
+        }
+    }
+
+    #[test]
+    fn same_unstable_set_delivered_by_all_members() {
+        // View synchrony: all members that install the view deliver the
+        // same agreed set, whoever starts the change.
+        for suspecter in 0..3 {
+            let mut ns = nodes(4, Uniformity::Uniform);
+            let mut net = Net::new(4);
+            net.auto_rejoin = false;
+            for i in 0..4 {
+                net.bcast(&mut ns, i, 10 * suspecter as u32 + i as u32);
+            }
+            net.suspect(&mut ns, suspecter, 3);
+            net.drive(&mut ns);
+            let first = ns[0].delivered_log();
+            assert!(first.len() >= 3, "suspecter p{}", suspecter + 1);
+            for n in &ns[1..3] {
+                assert_eq!(n.delivered_log(), first, "at {}", n.me);
+            }
+        }
+    }
+
+    #[test]
+    fn welcome_resent_when_join_arrives_from_a_member() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        net.suspect(&mut ns, 0, 2);
+        net.drive_bounded(&mut ns, 2_000);
+        net.trust(&mut ns, 0, 2);
+        net.drive(&mut ns);
+        // p3 is back in: request_join is a no-op once readmitted …
+        let mut out = Vec::new();
+        ns[2].request_join(&mut out);
+        assert!(out.is_empty());
+        // … and a stale Join (e.g. after a lost Welcome) is answered
+        // with a direct Welcome rather than a view change.
+        let view = ns[0].view().clone();
+        ns[0].on_message(Pid::new(2), GmCastMsg::Gm(GmMsg::Join), &mut out);
+        let welcome = GmMsg::Welcome {
+            view: view.id(),
+            members: view.members().clone(),
+        };
+        assert_eq!(
+            out,
+            vec![GmCastAction::Send(Pid::new(2), GmCastMsg::Gm(welcome))]
+        );
+        route(0, out, &mut net.queue, &mut net.delivered, &mut net.flags);
+        net.drive(&mut ns);
+        assert_eq!(ns[0].view(), &view, "no extra view change");
+    }
+
+    #[test]
+    fn view_ids_increase_by_one_per_install() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let mut net = Net::new(3);
+        let mut views = vec![vec![ViewId(0)]; 3];
+        let mut record = |ns: &[GmAbcast<u32>]| {
+            for (n, seen) in ns.iter().zip(&mut views) {
+                if seen.last() != Some(&n.view().id()) {
+                    seen.push(n.view().id());
+                }
+            }
+        };
+        net.suspect(&mut ns, 0, 2);
+        for step in 0..200_000 {
+            if step == 2_000 {
+                net.trust(&mut ns, 0, 2);
+            }
+            if net.drive_bounded(&mut ns, 1) == 0 && step > 2_000 {
+                break;
+            }
+            record(&ns);
+        }
+        assert!(net.queue.is_empty(), "no quiescence");
+        // p1 and p2 take part in every change; p3 may skip the views
+        // installed while it was out.
+        for (i, seen) in views.iter().enumerate() {
+            assert!(seen.len() > 2, "p{} installed {seen:?}", i + 1);
+            for w in seen.windows(2) {
+                assert!(w[1] > w[0], "ids must increase at p{}", i + 1);
+                if i < 2 {
+                    assert_eq!(w[1], w[0].next(), "at p{}", i + 1);
+                }
+            }
         }
     }
 }

@@ -10,7 +10,8 @@
 //!   payload-carrying batches) by default; the `ringpaxos` crate
 //!   plugs in ids only.
 //! * [`GmAbcast`] / [`GmNode`] — the **GM algorithm**: fixed-sequencer
-//!   total order; a group-membership service (view synchrony) handles
+//!   total order; its group-membership view change (view synchrony,
+//!   over the [`membership`] crate's views and messages) handles
 //!   crashes and suspicions. The non-uniform variant of the paper's
 //!   Section 8 is available through [`Uniformity::NonUniform`].
 //!

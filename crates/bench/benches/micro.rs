@@ -20,8 +20,9 @@ use neko::{Ctx, Dur, Message, NetworkModel, Pid, Process, Sim, SimBuilder, Time}
 static ALLOC: figures::CountingAlloc = figures::CountingAlloc;
 
 /// One process holding a large population of staggered, re-arming
-/// timers — the failure-detector-heartbeat shape that dominates the
-/// event queue at large n. Delays span 1 ms to ~10 s so events land
+/// timers: a synthetic deep event queue. (The simulator itself
+/// schedules no heartbeats; its deep queues are pre-scheduled arrivals
+/// and messages in flight.) Delays span 1 ms to ~10 s so events land
 /// on several levels of the timing hierarchy.
 struct HeartbeatStorm {
     timers: u64,
@@ -181,8 +182,9 @@ fn report_case<P: Process>(
 }
 
 /// Steady-state churn on a bare event queue: keep `depth` timer-like
-/// events pending, pop the earliest and re-arm it `ops` times — the
-/// exact access pattern FD heartbeats impose at large n. Runs the
+/// events pending, pop the earliest and re-arm it `ops` times — a
+/// deep standing population like a run's pre-scheduled arrivals plus
+/// its messages in flight. Runs the
 /// same deterministic workload through the timing wheel and the
 /// reference binary heap (`neko::wheel::ReferenceHeap`, the structure
 /// the kernel ran on before), so the two rows are directly
@@ -197,7 +199,7 @@ fn queue_churn_report(report: &mut Report, depth: u64, ops: u64) {
         *state
     }
 
-    // Delays 1 ms .. ~10 s in µs, like the heartbeat population.
+    // Delays 1 ms .. ~10 s in µs, spread like pre-scheduled arrivals.
     let delay = |state: &mut u64| 1_000 + mix(state) % 10_000_000;
 
     let heap_rate = {

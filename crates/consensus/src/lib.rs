@@ -8,7 +8,7 @@
 //! suspicion-driven round changes, decisions via reliable broadcast).
 //!
 //! The atomic-broadcast layer runs a *sequence* of instances of this
-//! type; the group-membership layer runs one per view change. See
+//! type; the GM algorithm's view change runs one per view. See
 //! [`Consensus`] for the API and a usage sketch.
 //!
 //! ```

@@ -1,30 +1,13 @@
-//! Wire messages, actions and the unstable-state abstraction of the
-//! membership protocol.
+//! Wire messages of the membership protocol. `U` is the bundle of
+//! unstable messages a process contributes to a view change; what is
+//! inside is the atomic-broadcast layer's business.
 
 use std::collections::BTreeSet;
 
 use consensus::ConsensusMsg;
 use neko::Pid;
 
-use crate::view::{View, ViewId};
-
-/// The application-defined bundle of *unstable* messages a process
-/// contributes to a view change (its "flush" payload).
-///
-/// The membership layer only needs to union bundles; what is inside —
-/// payloads, sequence numbers — is the atomic-broadcast layer's
-/// business.
-pub trait Unstable: Clone + Eq + Ord + std::fmt::Debug + 'static {
-    /// Merges another process's bundle into this one (set union with
-    /// application-defined conflict resolution).
-    fn merge(&mut self, other: &Self);
-}
-
-impl<T: Clone + Eq + Ord + std::fmt::Debug + 'static> Unstable for BTreeSet<T> {
-    fn merge(&mut self, other: &Self) {
-        self.extend(other.iter().cloned());
-    }
-}
+use crate::view::ViewId;
 
 /// The value decided by a view change's consensus: the pair `(P, U)`
 /// of the paper's Section 4.3 — the next membership and the union of
@@ -72,50 +55,9 @@ pub enum GmMsg<U> {
     },
 }
 
-/// Outputs of the membership state machine, in execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GmAction<U> {
-    /// Send to one process.
-    Send(Pid, GmMsg<U>),
-    /// Send to each listed process (one multicast).
-    Multicast(Vec<Pid>, GmMsg<U>),
-    /// A new view is installed: first deliver `unstable`
-    /// (deterministically), then resume in `view`. `joined` lists
-    /// processes admitted by this change.
-    Install {
-        /// The new view.
-        view: View,
-        /// Agreed union of unstable messages (`U'` of the paper).
-        unstable: U,
-        /// Members of `view` that were not members before.
-        joined: BTreeSet<Pid>,
-    },
-    /// This process was excluded: `view` is the view it is *not* part
-    /// of. The layer above should pause sending and call
-    /// [`crate::Membership::request_join`] (and retry on a timer).
-    Excluded {
-        /// The view we were excluded from.
-        view: View,
-    },
-    /// This process was readmitted into `view`; the layer above must
-    /// perform a state transfer to catch up on missed deliveries.
-    Readmitted {
-        /// The view we rejoined.
-        view: View,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn btreeset_unstable_merges_as_union() {
-        let mut a: BTreeSet<u32> = [1, 2].into();
-        let b: BTreeSet<u32> = [2, 3].into();
-        a.merge(&b);
-        assert_eq!(a, [1, 2, 3].into());
-    }
 
     #[test]
     fn proposal_ordering_is_total() {

@@ -3,6 +3,7 @@
 use core::fmt;
 use std::collections::BTreeSet;
 
+use fdet::SuspectSet;
 use neko::Pid;
 
 /// Identifier of a view; views form a single totally ordered sequence
@@ -104,6 +105,16 @@ impl View {
     /// The members other than `me`, in pid order.
     pub fn others(&self, me: Pid) -> Vec<Pid> {
         self.members.iter().copied().filter(|&p| p != me).collect()
+    }
+
+    /// The members other than `me` that `suspects` currently suspects:
+    /// the ones a view change started by `me` excludes.
+    pub fn suspected_others(&self, me: Pid, suspects: &SuspectSet) -> BTreeSet<Pid> {
+        self.members
+            .iter()
+            .copied()
+            .filter(|&p| p != me && suspects.is_suspected(p))
+            .collect()
     }
 }
 

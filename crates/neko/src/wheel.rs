@@ -1,11 +1,17 @@
 //! A hierarchical timing wheel: the kernel's event queue.
 //!
 //! The discrete-event kernel orders events by `(time, tie, insertion
-//! seq)`. A binary heap gives that order in O(log n) per operation —
-//! with n beyond ~10⁵ pending events (failure-detector heartbeats
-//! dominate at large group sizes) the sift paths become cache-miss
-//! chains and the heap is the simulator's bottleneck. This wheel
-//! gives the *same total order* in amortized O(1) per event:
+//! seq)`. A binary heap gives that order in O(log n) per operation;
+//! this wheel gives the *same total order* in amortized O(1) per
+//! event. The simulator schedules no heartbeats (failure-detector
+//! output is scripted `Injection::Fd` edges): its deep queues are a
+//! run's arrivals, scheduled up front, plus the messages in flight —
+//! up to 128,542 pending events on the benchmark's `saturate-batched`
+//! workload. Run as the kernel's queue, [`ReferenceHeap`] kept every
+//! execution identical but simulated fewer seconds per wall second on
+//! every workload measured, so the wheel stays (EXPERIMENTS.md,
+//! "Kernel performance").
+//!
 //!
 //! * Eleven levels of 64 slots cover the full `u64` microsecond
 //!   domain (6 bits per level, 66 ≥ 64): level 0 resolves single

@@ -13,8 +13,9 @@
 //!   Chen et al. (`T_D`, `T_MR`, `T_M`), and a heartbeat detector.
 //! * [`rbcast`] — lazy reliable broadcast.
 //! * [`consensus`] — Chandra–Toueg ♦S consensus.
-//! * [`membership`] — group membership with view synchrony.
-//! * [`abcast`] — the two atomic broadcast algorithms under study.
+//! * [`membership`] — group membership's views and wire messages.
+//! * [`abcast`] — the two atomic broadcast algorithms under study,
+//!   including GM's view-change protocol (view synchrony).
 //! * [`study`] — the benchmark methodology: composable fault scripts,
 //!   workloads, latency statistics and the parallel experiment
 //!   runner.
