@@ -31,7 +31,8 @@ use fdet::SuspectSet;
 use neko::{FdEvent, Message, Pid};
 use rbcast::{RbAction, RbMsg, ReliableBcast, WatermarkSet, WindowMap};
 
-use crate::common::{MsgId, Payload};
+use crate::common::{CastAction, MsgId, Payload, StallRule};
+use crate::node::Machine;
 
 /// A consensus proposal/decision: a batch of messages, tagged with its
 /// proposer for the renumbering optimisation.
@@ -73,22 +74,6 @@ pub type FdCastMsg<P> = CastMsg<P, Batch<P>>;
 impl<P: Payload, V: Value> Message for CastMsg<P, V> {
     // Consensus aggregates whole batches per instance; no wire-level
     // coalescing is needed (or used by the paper) for the FD side.
-}
-
-/// Outputs of the reduction, in execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CastAction<M, P> {
-    /// Send to one process.
-    Send(Pid, M),
-    /// Send to all other processes.
-    Multicast(M),
-    /// `A-deliver`.
-    Deliver {
-        /// The broadcast's identity.
-        id: MsgId,
-        /// Its payload.
-        payload: P,
-    },
 }
 
 /// Outputs of the FD state machine.
@@ -272,10 +257,8 @@ pub struct FdAbcast<P: Payload, S: Strategy<P> = Bodies> {
     future: BTreeMap<u64, FutureMsgs<S::Value>>,
     coord_first: Pid,
     suspects: SuspectSet,
-    /// Progress signature at the last stall probe.
-    last_probe: Option<ProgressSig>,
-    /// Consecutive probes with a frozen signature.
-    stalled_probes: u32,
+    /// The oldest undecided instance's progress, across stall probes.
+    stall: StallRule<ProgressSig>,
     /// Reused action buffers for the inner rbcast/consensus machines.
     /// Always empty between calls; kept only for their capacity (the
     /// handlers otherwise allocate a fresh vector per wire message).
@@ -310,8 +293,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
             future: BTreeMap::new(),
             coord_first: Pid::new(0),
             suspects: suspects.clone(),
-            last_probe: None,
-            stalled_probes: 0,
+            stall: StallRule::default(),
             rb_scratch: Vec::new(),
             cons_scratch: Vec::new(),
         }
@@ -341,9 +323,15 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
             .map(|v| S::missing(v, &self.pending, &self.delivered))
             .unwrap_or_default()
     }
+}
+
+impl<P: Payload, S: Strategy<P>> Machine for FdAbcast<P, S> {
+    type Payload = P;
+    type Msg = S::Msg;
+    const PROBE_TAG: u64 = 3;
 
     /// `A-broadcast(payload)`; returns the new message's id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Actions<S, P>) -> MsgId {
+    fn broadcast(&mut self, payload: P, out: &mut Actions<S, P>) -> MsgId {
         // One reliable broadcast per A-broadcast; the rb id doubles as
         // the message id, and is embedded in the payload so receivers
         // (and consensus batches) carry it around.
@@ -361,7 +349,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     }
 
     /// Handles a wire message.
-    pub fn on_message(&mut self, from: Pid, msg: S::Msg, out: &mut Actions<S, P>) {
+    fn on_message(&mut self, from: Pid, msg: S::Msg, out: &mut Actions<S, P>) {
         match S::split(msg) {
             Ok(CastMsg::Data(rbmsg)) => {
                 let mut rb_out = std::mem::take(&mut self.rb_scratch);
@@ -429,31 +417,19 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
         }
     }
 
-    /// Periodic channel-repair probe. Call at a coarse interval (the
-    /// [`crate::FdNode`] shell uses a timer): when the oldest
-    /// undecided instance has made *no* observable progress since the
-    /// last probe, ask the group to resend what was lost. Quiet in
+    /// Periodic channel-repair probe (the shell's probe timer): when
+    /// the oldest undecided instance has made *no* observable progress
+    /// for two probes, ask the group to resend what was lost. Quiet in
     /// loss-free runs — consensus always progresses between probes —
     /// so steady-state behaviour is untouched. A head decision still
     /// blocked on missing bodies goes back to the strategy's repair
     /// first, without the two-probe hysteresis: a decided value with
     /// missing payloads is never slow consensus, it is a lost message
     /// by construction.
-    pub fn stall_probe(&mut self, out: &mut Actions<S, P>) {
+    fn probe(&mut self, out: &mut Actions<S, P>) {
         self.repair(Repair::Probe, out);
         let sig = (self.k, self.instances.get(&self.k).map(Consensus::progress));
-        if self.last_probe.as_ref() == Some(&sig) {
-            self.stalled_probes += 1;
-        } else {
-            self.stalled_probes = 0;
-        }
-        self.last_probe = Some(sig);
-        // Two consecutive frozen probes (≥ 2 intervals of zero
-        // progress) separate real message loss from an instance
-        // merely queued behind a deep backlog near saturation, where
-        // nudging would add load (and perturb the FD ≡ GM message
-        // pattern) for nothing.
-        if self.stalled_probes < 2 {
+        if !self.stall.stalled(Some(sig)) {
             return;
         }
         let undecided = self
@@ -466,7 +442,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     }
 
     /// Handles a failure-detector edge.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<S, P>) {
+    fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<S, P>) {
         self.suspects.apply(ev);
         if let FdEvent::Suspect(p) = ev {
             // Lazy relay of undecided payloads from the suspect.
@@ -482,7 +458,9 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
         // to their messages with the decision instead.
         self.step_cons(self.k, out, |c, o| c.on_fd(ev, o));
     }
+}
 
+impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
     /// The strategy, beside the local state its hooks read.
     fn parts(&mut self) -> (&mut S, Local<'_, P>) {
         let at = Local {
@@ -660,7 +638,7 @@ mod tests {
                         queue.push_back((from, to, m.clone()));
                     }
                 }
-                CastAction::Deliver { .. } => {}
+                CastAction::Deliver { .. } | CastAction::Group(_) | CastAction::Retry(_) => {}
             }
         }
     }

@@ -31,14 +31,23 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fdet::SuspectSet;
 use membership::{GmMsg, View, ViewId};
-use neko::{DestSet, Pid};
+use neko::{DestSet, FdEvent, Message, Pid};
 use rbcast::{SeqWindow, WatermarkSet, WindowMap};
 
-use crate::common::{MsgId, Payload};
+use crate::common::{CastAction, MsgId, Payload, StallRule};
+use crate::node::Machine;
 
 mod view_change;
 
 use view_change::{Mode, Vc, VcProgress};
+
+/// Outputs of the GM state machine.
+type Actions<P> = Vec<CastAction<GmCastMsg<P>, P>>;
+
+/// The retry timer of an excluded process's join requests.
+const TAG_JOIN_RETRY: u64 = 1;
+/// The retry timer of a catching-up process's state requests.
+const TAG_CATCHUP_RETRY: u64 = 2;
 
 /// Whether the algorithm provides uniform or non-uniform total order
 /// (Section 8 trade-off).
@@ -169,28 +178,49 @@ pub enum GmCastMsg<P> {
     },
 }
 
-/// Outputs of the GM state machine, in execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GmCastAction<P> {
-    /// Send to one process.
-    Send(Pid, GmCastMsg<P>),
-    /// Send to the listed processes (one multicast).
-    Multicast(Vec<Pid>, GmCastMsg<P>),
-    /// `A-deliver`.
-    Deliver {
-        /// The broadcast's identity.
-        id: MsgId,
-        /// Its payload.
-        payload: P,
-    },
-    /// We were excluded: the shell must call
-    /// [`GmAbcast::request_join`] now and retry on a timer until
-    /// readmitted.
-    JoinNeeded,
-    /// We were readmitted and sent a state request: the shell should
-    /// retry [`GmAbcast::request_state`] on a timer while
-    /// [`GmAbcast::is_catching_up`] holds.
-    CatchupNeeded,
+impl<P: Payload> Message for GmCastMsg<P> {
+    /// `Seq`, `AckSn` and `Deliver` carry several sequence numbers when
+    /// queued behind each other (paper Section 4.2).
+    fn try_merge(&mut self, other: &Self) -> bool {
+        match (self, other) {
+            (GmCastMsg::Seq { view: v1, sns: a }, GmCastMsg::Seq { view: v2, sns: b })
+                if v1 == v2 =>
+            {
+                a.extend(b.iter().copied());
+                true
+            }
+            (GmCastMsg::AckSn { view: v1, sns: a }, GmCastMsg::AckSn { view: v2, sns: b })
+                if v1 == v2 =>
+            {
+                a.extend(b.iter().copied());
+                true
+            }
+            (
+                GmCastMsg::Deliver {
+                    view: v1,
+                    sns: a,
+                    stable_up_to: s1,
+                },
+                GmCastMsg::Deliver {
+                    view: v2,
+                    sns: b,
+                    stable_up_to: s2,
+                },
+            ) if v1 == v2 => {
+                a.extend(b.iter().copied());
+                *s1 = (*s1).max(*s2);
+                true
+            }
+            (
+                GmCastMsg::AckUpTo { view: v1, up_to: a },
+                GmCastMsg::AckUpTo { view: v2, up_to: b },
+            ) if v1 == v2 => {
+                *a = (*a).max(*b);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// How many deliveries a non-uniform receiver batches into one
@@ -228,6 +258,9 @@ pub struct GmAbcast<P: Payload> {
     /// not run yet.
     install_pending: bool,
     join_attempts: u64,
+    /// An exclusion in the current entry point owes a join request
+    /// (see `with_due_joins`).
+    joins_due: bool,
     /// Set by the stall probe: the current view change has made no
     /// progress for a while, so a Welcome for the very next view may
     /// be adopted even though our own consensus on it is still
@@ -266,15 +299,8 @@ pub struct GmAbcast<P: Payload> {
     catching_up: bool,
     catchup_buf: Vec<(Pid, GmCastMsg<P>)>,
     future_inview: Buffered<GmCastMsg<P>>,
-    /// Flat copy of the current view minus us, rebuilt when the view
-    /// id changes — the in-view multicast paths clone this instead of
-    /// re-filtering the member tree per message.
-    others_cache: Vec<Pid>,
-    others_view: Option<ViewId>,
-    /// View-change progress signature at the last repair probe.
-    last_vc_probe: Option<(ViewId, Option<VcProgress>)>,
-    /// Consecutive probes with a frozen in-progress view change.
-    stalled_vc_probes: u32,
+    /// The view change in progress, across repair probes.
+    vc_stall: StallRule<(ViewId, VcProgress)>,
 }
 
 impl<P: Payload> GmAbcast<P> {
@@ -302,6 +328,7 @@ impl<P: Payload> GmAbcast<P> {
             future_gm: BTreeMap::new(),
             install_pending: false,
             join_attempts: 0,
+            joins_due: false,
             stale_jump_armed: false,
             store: WindowMap::new(),
             assigned: WindowMap::new(),
@@ -323,22 +350,15 @@ impl<P: Payload> GmAbcast<P> {
             catching_up: false,
             catchup_buf: Vec::new(),
             future_inview: BTreeMap::new(),
-            others_cache: Vec::new(),
-            others_view: None,
-            last_vc_probe: None,
-            stalled_vc_probes: 0,
+            vc_stall: StallRule::default(),
         }
     }
 
-    /// The current view's members other than us, as an owned vector
-    /// (the action type carries ownership). Cached per view id.
-    fn others_vec(&mut self) -> Vec<Pid> {
-        let vid = self.view.id();
-        if self.others_view != Some(vid) {
-            self.others_cache = self.view.others(self.me);
-            self.others_view = Some(vid);
-        }
-        self.others_cache.clone()
+    /// Installs `view` as the current one; multicasts from here on go
+    /// to its other members.
+    fn set_view(&mut self, view: View, out: &mut Actions<P>) {
+        self.view = view;
+        out.push(CastAction::Group(self.view.others(self.me)));
     }
 
     /// The A-delivery order so far.
@@ -380,30 +400,13 @@ impl<P: Payload> GmAbcast<P> {
         self.is_member() && !self.in_view_change() && !self.catching_up
     }
 
-    /// `A-broadcast(payload)`; returns the new message's id. While the
-    /// group is reconfiguring (or we are excluded) the message is
-    /// buffered and sent in the next view.
-    pub fn broadcast(&mut self, payload: P, out: &mut Vec<GmCastAction<P>>) -> MsgId {
-        let id = MsgId {
-            origin: self.me,
-            seq: self.next_local_seq,
-        };
-        self.next_local_seq += 1;
-        if self.can_send() {
-            self.send_data(id, payload, out);
-        } else {
-            self.unsent.push((id, payload));
-        }
-        id
-    }
-
-    /// Re-sends the state request (shell timer callback). The request
-    /// goes to every member we know of — any of them can serve it, and
-    /// the sequencer may have crashed since we were welcomed.
-    pub fn request_state(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    /// Re-sends the state request (retry timer). The request goes to
+    /// every member we know of — any of them can serve it, and the
+    /// sequencer may have crashed since we were welcomed.
+    fn request_state(&mut self, out: &mut Actions<P>) {
         if self.catching_up && self.is_member() {
-            for m in self.view.others(self.me) {
-                out.push(GmCastAction::Send(
+            for m in self.view.others(self.me).iter() {
+                out.push(CastAction::Send(
                     m,
                     GmCastMsg::StateReq {
                         from_index: self.delivered_log.len() as u64,
@@ -413,8 +416,9 @@ impl<P: Payload> GmAbcast<P> {
         }
     }
 
-    /// Handles a wire message.
-    pub fn on_message(&mut self, from: Pid, msg: GmCastMsg<P>, out: &mut Vec<GmCastAction<P>>) {
+    /// [`Machine::on_message`] without the join requests it owes:
+    /// messages replayed from a buffer come through here.
+    fn receive(&mut self, from: Pid, msg: GmCastMsg<P>, out: &mut Actions<P>) {
         if self.catching_up && !matches!(msg, GmCastMsg::StateResp { .. }) {
             // While the state transfer is in flight nothing may touch
             // the delivery log (or the view), otherwise the
@@ -499,11 +503,12 @@ impl<P: Payload> GmAbcast<P> {
             GmCastMsg::StateReq { from_index } => {
                 if self.is_member() && !self.catching_up {
                     let from_index = (from_index as usize).min(self.delivered_log.len());
-                    out.push(GmCastAction::Send(
+                    let missed = self.delivered_log.get(from_index..).unwrap_or_default();
+                    out.push(CastAction::Send(
                         from,
                         GmCastMsg::StateResp {
                             from_index: from_index as u64,
-                            entries: self.delivered_log[from_index..].to_vec(),
+                            entries: missed.to_vec(),
                             resume_sn: self.delivered_sn,
                             view: self.view.id(),
                         },
@@ -523,20 +528,16 @@ impl<P: Payload> GmAbcast<P> {
 
     // ---- in-view protocol ----
 
-    fn send_data(&mut self, id: MsgId, payload: P, out: &mut Vec<GmCastAction<P>>) {
-        let dests = self.others_vec();
-        out.push(GmCastAction::Multicast(
-            dests,
-            GmCastMsg::Data {
-                view: self.view.id(),
-                id,
-                payload: payload.clone(),
-            },
-        ));
+    fn send_data(&mut self, id: MsgId, payload: P, out: &mut Actions<P>) {
+        out.push(CastAction::Multicast(GmCastMsg::Data {
+            view: self.view.id(),
+            id,
+            payload: payload.clone(),
+        }));
         self.handle_data(id, payload, out);
     }
 
-    fn handle_data(&mut self, id: MsgId, payload: P, out: &mut Vec<GmCastAction<P>>) {
+    fn handle_data(&mut self, id: MsgId, payload: P, out: &mut Actions<P>) {
         if self.delivered_ids.contains(id) || self.store.contains_key(id) {
             return;
         }
@@ -565,7 +566,7 @@ impl<P: Payload> GmAbcast<P> {
     /// instances (paper Section 4.2: "seqnum, ack and deliver messages
     /// can carry several sequence numbers"), and makes the two
     /// algorithms' message patterns identical in suspicion-free runs.
-    fn maybe_open_batch(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn maybe_open_batch(&mut self, out: &mut Actions<P>) {
         if self.batch_end.is_some()
             || self.unsequenced.is_empty()
             || !self.is_sequencer()
@@ -598,18 +599,14 @@ impl<P: Payload> GmAbcast<P> {
                 self.deliverable.insert(sn, ());
             }
         }
-        let dests = self.others_vec();
-        out.push(GmCastAction::Multicast(
-            dests,
-            GmCastMsg::Seq {
-                view: self.view.id(),
-                sns: pairs,
-            },
-        ));
+        out.push(CastAction::Multicast(GmCastMsg::Seq {
+            view: self.view.id(),
+            sns: pairs,
+        }));
         self.flush_deliveries(out);
     }
 
-    fn handle_seq(&mut self, sns: Vec<(MsgId, u64)>, out: &mut Vec<GmCastAction<P>>) {
+    fn handle_seq(&mut self, sns: Vec<(MsgId, u64)>, out: &mut Actions<P>) {
         let mut to_ack = Vec::new();
         for (id, sn) in sns {
             self.by_sn.insert(sn, id);
@@ -625,7 +622,7 @@ impl<P: Payload> GmAbcast<P> {
         }
         if !to_ack.is_empty() && !self.is_sequencer() && self.uniformity == Uniformity::Uniform {
             let view = &self.view;
-            out.push(GmCastAction::Send(
+            out.push(CastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckSn {
                     view: view.id(),
@@ -638,7 +635,7 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     /// Both `Data` and `Seq` for `sn` are now present locally.
-    fn complete_pair(&mut self, sn: u64, out: &mut Vec<GmCastAction<P>>) {
+    fn complete_pair(&mut self, sn: u64, out: &mut Actions<P>) {
         if self.uniformity == Uniformity::NonUniform {
             self.deliverable.insert(sn, ());
         }
@@ -647,7 +644,7 @@ impl<P: Payload> GmAbcast<P> {
             self.flush_deliveries(out);
         } else if self.uniformity == Uniformity::Uniform {
             let view = &self.view;
-            out.push(GmCastAction::Send(
+            out.push(CastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckSn {
                     view: view.id(),
@@ -661,7 +658,7 @@ impl<P: Payload> GmAbcast<P> {
 
     /// Non-uniform receivers acknowledge cumulatively, every
     /// [`NONUNIFORM_ACK_EVERY`] deliveries.
-    fn maybe_cumulative_ack(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn maybe_cumulative_ack(&mut self, out: &mut Actions<P>) {
         if self.uniformity != Uniformity::NonUniform || self.is_sequencer() {
             return;
         }
@@ -669,7 +666,7 @@ impl<P: Payload> GmAbcast<P> {
         if held >= self.acked_up_to + NONUNIFORM_ACK_EVERY {
             self.acked_up_to = held;
             let view = &self.view;
-            out.push(GmCastAction::Send(
+            out.push(CastAction::Send(
                 view.sequencer(),
                 GmCastMsg::AckUpTo {
                     view: view.id(),
@@ -728,7 +725,7 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     /// Sequencer: delivers what became deliverable and announces it.
-    fn flush_deliveries(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn flush_deliveries(&mut self, out: &mut Actions<P>) {
         let before = self.delivered_sn;
         self.try_deliver(out);
         let newly: Vec<u64> = (before..self.delivered_sn).collect();
@@ -750,8 +747,7 @@ impl<P: Payload> GmAbcast<P> {
                     stable_up_to: self.stable_up_to,
                 }
             };
-            let dests = self.others_vec();
-            out.push(GmCastAction::Multicast(dests, msg));
+            out.push(CastAction::Multicast(msg));
         }
         self.prune_stable();
         // Batch completion: everything in the outstanding batch is
@@ -763,7 +759,7 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     /// Delivers the contiguous deliverable prefix, in sn order.
-    fn try_deliver(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn try_deliver(&mut self, out: &mut Actions<P>) {
         loop {
             let sn = self.delivered_sn;
             let Some(&id) = self.by_sn.get(sn) else {
@@ -794,10 +790,10 @@ impl<P: Payload> GmAbcast<P> {
             .collect()
     }
 
-    fn deliver(&mut self, id: MsgId, payload: P, out: &mut Vec<GmCastAction<P>>) {
+    fn deliver(&mut self, id: MsgId, payload: P, out: &mut Actions<P>) {
         if self.delivered_ids.insert(id) {
             self.delivered_log.push((id, payload.clone()));
-            out.push(GmCastAction::Deliver { id, payload });
+            out.push(CastAction::Deliver { id, payload });
         }
     }
 
@@ -818,7 +814,7 @@ impl<P: Payload> GmAbcast<P> {
 
     /// Delivers a decided view change's agreed unstable set, then
     /// starts the (already adopted) new view.
-    fn apply_install(&mut self, unstable: Bundle<P>, out: &mut Vec<GmCastAction<P>>) {
+    fn apply_install(&mut self, unstable: Bundle<P>, out: &mut Actions<P>) {
         // 1) Deliver the agreed unstable messages: sequenced ones in sn
         //    order, then unsequenced ones in id order (deterministic —
         //    every member delivers the same list).
@@ -885,7 +881,7 @@ impl<P: Payload> GmAbcast<P> {
         let current = self.view.id();
         if let Some(buffered) = self.future_inview.remove(&current) {
             for (from, m) in buffered {
-                self.on_message(from, m, out);
+                self.receive(from, m, out);
             }
         }
         self.future_inview.retain(|v, _| *v > current);
@@ -912,7 +908,7 @@ impl<P: Payload> GmAbcast<P> {
         entries: Vec<(MsgId, P)>,
         resume_sn: u64,
         view: ViewId,
-        out: &mut Vec<GmCastAction<P>>,
+        out: &mut Actions<P>,
     ) {
         if !self.catching_up || !self.is_member() || view < self.view.id() {
             return; // stale response (responder behind us); retry covers it
@@ -932,7 +928,7 @@ impl<P: Payload> GmAbcast<P> {
         // Process everything that arrived during the transfer.
         let buffered = std::mem::take(&mut self.catchup_buf);
         for (from, m) in buffered {
-            self.on_message(from, m, out);
+            self.receive(from, m, out);
         }
         // In-view traffic of the adopted view that arrived while we
         // were still excluded (buffered by `classify`): the rejoin
@@ -940,7 +936,7 @@ impl<P: Payload> GmAbcast<P> {
         let current = self.view.id();
         if let Some(buffered) = self.future_inview.remove(&current) {
             for (from, m) in buffered {
-                self.on_message(from, m, out);
+                self.receive(from, m, out);
             }
         }
         self.future_inview.retain(|v, _| *v > current);
@@ -988,9 +984,9 @@ impl<P: Payload> GmAbcast<P> {
     /// non-member, so without help it would stay wedged in its stale
     /// view forever. Tell it where the group is; its `Welcome` handler
     /// turns the news into an exclusion notice and a join request.
-    fn notify_stale(&self, from: Pid, out: &mut Vec<GmCastAction<P>>) {
+    fn notify_stale(&self, from: Pid, out: &mut Actions<P>) {
         if self.is_member() && !self.in_view_change() && !self.view.contains(from) {
-            out.push(GmCastAction::Send(from, GmCastMsg::Gm(self.welcome())));
+            out.push(CastAction::Send(from, GmCastMsg::Gm(self.welcome())));
         }
     }
 
@@ -1009,13 +1005,74 @@ enum ViewRelation {
     Future,
 }
 
+impl<P: Payload> Machine for GmAbcast<P> {
+    type Payload = P;
+    type Msg = GmCastMsg<P>;
+    const PROBE_TAG: u64 = 4;
+
+    /// `A-broadcast(payload)`; returns the new message's id. While the
+    /// group is reconfiguring (or we are excluded) the message is
+    /// buffered and sent in the next view.
+    fn broadcast(&mut self, payload: P, out: &mut Actions<P>) -> MsgId {
+        let id = MsgId {
+            origin: self.me,
+            seq: self.next_local_seq,
+        };
+        self.next_local_seq += 1;
+        if self.can_send() {
+            self.send_data(id, payload, out);
+        } else {
+            self.unsent.push((id, payload));
+        }
+        id
+    }
+
+    /// Handles a wire message.
+    fn on_message(&mut self, from: Pid, msg: GmCastMsg<P>, out: &mut Actions<P>) {
+        self.with_due_joins(out, |gm, out| gm.receive(from, msg, out));
+    }
+
+    fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<P>) {
+        self.with_due_joins(out, |gm, out| gm.handle_fd(ev, out));
+    }
+
+    fn probe(&mut self, out: &mut Actions<P>) {
+        self.with_due_joins(out, Self::vc_probe);
+    }
+
+    /// An excluded process asks to rejoin again, a catching-up one
+    /// for its state again, each re-arming its timer until it is
+    /// back; a timer whose loop is over ends it.
+    fn retry(&mut self, tag: u64, out: &mut Actions<P>) {
+        match tag {
+            TAG_JOIN_RETRY if self.is_excluded() => {
+                out.push(CastAction::Retry(TAG_JOIN_RETRY));
+                self.request_join(out);
+            }
+            TAG_CATCHUP_RETRY if self.catching_up => {
+                out.push(CastAction::Retry(TAG_CATCHUP_RETRY));
+                self.request_state(out);
+            }
+            _ => {}
+        }
+    }
+
+    /// The retry timers armed before the crash are gone: restart the
+    /// loop the pre-crash state still needs.
+    fn recover(&mut self, out: &mut Actions<P>) {
+        if self.is_excluded() {
+            self.retry(TAG_JOIN_RETRY, out);
+        } else if self.catching_up {
+            out.push(CastAction::Retry(TAG_CATCHUP_RETRY));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use neko::FdEvent;
-
     use super::*;
 
-    type A = GmCastAction<u32>;
+    type A = CastAction<GmCastMsg<u32>, u32>;
 
     fn nodes(n: usize, u: Uniformity) -> Vec<GmAbcast<u32>> {
         (0..n)
@@ -1023,36 +1080,14 @@ mod tests {
             .collect()
     }
 
-    fn route(
-        from: usize,
-        out: Vec<A>,
-        queue: &mut Vec<(usize, usize, GmCastMsg<u32>)>,
-        delivered: &mut [Vec<(MsgId, u32)>],
-        flags: &mut Vec<(usize, &'static str)>,
-    ) {
-        for a in out {
-            match a {
-                GmCastAction::Send(to, m) => queue.push((from, to.index(), m)),
-                GmCastAction::Multicast(dests, m) => {
-                    for to in dests {
-                        queue.push((from, to.index(), m.clone()));
-                    }
-                }
-                GmCastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
-                GmCastAction::JoinNeeded => flags.push((from, "join")),
-                GmCastAction::CatchupNeeded => flags.push((from, "catchup")),
-            }
-        }
-    }
-
     struct Net {
         queue: Vec<(usize, usize, GmCastMsg<u32>)>,
         delivered: Vec<Vec<(MsgId, u32)>>,
-        flags: Vec<(usize, &'static str)>,
-        /// Every flag raised so far, in order.
+        /// Each process's group: where its multicasts go.
+        groups: Vec<DestSet>,
+        /// Every retry timer armed so far, in order.
         seen: Vec<(usize, &'static str)>,
-        /// Whether an excluded process asks to rejoin (the shell's
-        /// join timer).
+        /// Whether an excluded process's join requests reach the group.
         auto_rejoin: bool,
     }
 
@@ -1061,9 +1096,27 @@ mod tests {
             Net {
                 queue: Vec::new(),
                 delivered: vec![Vec::new(); n],
-                flags: Vec::new(),
+                groups: Pid::all(n).map(|me| View::initial(n).others(me)).collect(),
                 seen: Vec::new(),
                 auto_rejoin: true,
+            }
+        }
+
+        fn route(&mut self, from: usize, out: Vec<A>) {
+            for a in out {
+                match a {
+                    CastAction::Send(_, GmCastMsg::Gm(GmMsg::Join)) if !self.auto_rejoin => {}
+                    CastAction::Send(to, m) => self.queue.push((from, to.index(), m)),
+                    CastAction::Multicast(m) => {
+                        for to in self.groups[from].iter() {
+                            self.queue.push((from, to.index(), m.clone()));
+                        }
+                    }
+                    CastAction::Group(group) => self.groups[from] = group,
+                    CastAction::Deliver { id, payload } => self.delivered[from].push((id, payload)),
+                    CastAction::Retry(TAG_JOIN_RETRY) => self.seen.push((from, "join")),
+                    CastAction::Retry(_) => self.seen.push((from, "catchup")),
+                }
             }
         }
 
@@ -1088,31 +1141,7 @@ mod tests {
                 steps += 1;
                 let mut out = Vec::new();
                 ns[to].on_message(Pid::new(from), m, &mut out);
-                route(
-                    to,
-                    out,
-                    &mut self.queue,
-                    &mut self.delivered,
-                    &mut self.flags,
-                );
-                // Shell behaviour: act on join/catchup flags directly.
-                let flags = std::mem::take(&mut self.flags);
-                self.seen.extend(&flags);
-                for (who, what) in flags {
-                    let mut out = Vec::new();
-                    match what {
-                        "join" if self.auto_rejoin => ns[who].request_join(&mut out),
-                        "catchup" => ns[who].request_state(&mut out),
-                        _ => {}
-                    }
-                    route(
-                        who,
-                        out,
-                        &mut self.queue,
-                        &mut self.delivered,
-                        &mut self.flags,
-                    );
-                }
+                self.route(to, out);
             }
             steps
         }
@@ -1120,38 +1149,20 @@ mod tests {
         fn bcast(&mut self, ns: &mut [GmAbcast<u32>], who: usize, v: u32) -> MsgId {
             let mut out = Vec::new();
             let id = ns[who].broadcast(v, &mut out);
-            route(
-                who,
-                out,
-                &mut self.queue,
-                &mut self.delivered,
-                &mut self.flags,
-            );
+            self.route(who, out);
             id
         }
 
         fn suspect(&mut self, ns: &mut [GmAbcast<u32>], at: usize, p: usize) {
             let mut out = Vec::new();
             ns[at].on_fd(FdEvent::Suspect(Pid::new(p)), &mut out);
-            route(
-                at,
-                out,
-                &mut self.queue,
-                &mut self.delivered,
-                &mut self.flags,
-            );
+            self.route(at, out);
         }
 
         fn trust(&mut self, ns: &mut [GmAbcast<u32>], at: usize, p: usize) {
             let mut out = Vec::new();
             ns[at].on_fd(FdEvent::Trust(Pid::new(p)), &mut out);
-            route(
-                at,
-                out,
-                &mut self.queue,
-                &mut self.delivered,
-                &mut self.flags,
-            );
+            self.route(at, out);
         }
     }
 
@@ -1375,6 +1386,92 @@ mod tests {
         assert!(!ns[0].is_excluded());
     }
 
+    /// n = 2: p1 suspects p2 and, after a FIFO drive to quiescence,
+    /// is alone in view 1.
+    fn alone_in_view_one() -> (Vec<GmAbcast<u32>>, Net) {
+        let mut ns = nodes(2, Uniformity::Uniform);
+        let mut net = Net::new(2);
+        net.suspect(&mut ns, 0, 1);
+        net.drive(&mut ns);
+        assert_eq!(ns[0].view().id(), ViewId(1));
+        assert_eq!(ns[0].view().members(), &pids(&[0]));
+        (ns, net)
+    }
+
+    /// A view of one decides its view change inside the call that
+    /// starts it; the flush that started it must not expect the change
+    /// to be still open.
+    #[test]
+    fn flush_to_a_view_of_one_is_handled() {
+        let (mut ns, mut net) = alone_in_view_one();
+        let flush = GmMsg::Flush {
+            view: ViewId(1),
+            excluded: BTreeSet::new(),
+            joining: BTreeSet::new(),
+            unstable: Bundle::default(),
+        };
+        net.queue.push((1, 0, GmCastMsg::Gm(flush)));
+        net.drive(&mut ns);
+        assert_eq!(ns[0].view().members(), &pids(&[0]));
+        assert!(!ns[0].in_view_change());
+    }
+
+    /// The same for view-change consensus traffic.
+    #[test]
+    fn consensus_traffic_to_a_view_of_one_is_handled() {
+        let (mut ns, mut net) = alone_in_view_one();
+        let nack = GmMsg::Cons {
+            view: ViewId(1),
+            inner: consensus::ConsensusMsg::Nack { round: 1 },
+        };
+        net.queue.push((1, 0, GmCastMsg::Gm(nack)));
+        net.drive(&mut ns);
+        assert_eq!(ns[0].view().members(), &pids(&[0]));
+        assert!(!ns[0].in_view_change());
+    }
+
+    /// The join request an exclusion owes is made when the entry
+    /// point ends, with the state it left: p3, catching up, replays an
+    /// exclusion and then a readmission from one state response, so it
+    /// arms the join timer but asks nobody to readmit it.
+    #[test]
+    fn exclusion_undone_in_the_same_step_sends_no_join() {
+        let mut ns = nodes(3, Uniformity::Uniform);
+        let (p1, p3) = (Pid::new(0), &mut ns[2]);
+        let welcome = |v, members: &[usize]| {
+            let members = pids(members);
+            GmCastMsg::Gm(GmMsg::Welcome {
+                view: ViewId(v),
+                members,
+            })
+        };
+        let mut out = Vec::new();
+        p3.on_message(p1, welcome(2, &[0, 1, 2]), &mut out);
+        assert!(p3.is_catching_up());
+        p3.on_message(p1, welcome(3, &[0, 1]), &mut out);
+        p3.on_message(p1, welcome(4, &[0, 1, 2]), &mut out);
+        out.clear();
+        let resp = GmCastMsg::StateResp {
+            from_index: 0,
+            entries: Vec::new(),
+            resume_sn: 0,
+            view: ViewId(2),
+        };
+        p3.on_message(p1, resp, &mut out);
+        let state_req = |to| CastAction::Send(Pid::new(to), GmCastMsg::StateReq { from_index: 0 });
+        assert_eq!(
+            out,
+            vec![
+                CastAction::Retry(TAG_JOIN_RETRY),
+                CastAction::Group(pids(&[0, 1]).into_iter().collect()),
+                state_req(0),
+                state_req(1),
+                CastAction::Retry(TAG_CATCHUP_RETRY),
+            ]
+        );
+        assert_eq!(p3.view().id(), ViewId(4));
+    }
+
     #[test]
     fn suspicion_excludes_the_suspect() {
         let mut ns = nodes(3, Uniformity::Uniform);
@@ -1519,9 +1616,9 @@ mod tests {
         };
         assert_eq!(
             out,
-            vec![GmCastAction::Send(Pid::new(2), GmCastMsg::Gm(welcome))]
+            vec![CastAction::Send(Pid::new(2), GmCastMsg::Gm(welcome))]
         );
-        route(0, out, &mut net.queue, &mut net.delivered, &mut net.flags);
+        net.route(0, out);
         net.drive(&mut ns);
         assert_eq!(ns[0].view(), &view, "no extra view change");
     }
@@ -1560,5 +1657,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gm_messages_merge_per_kind_and_view() {
+        use membership::ViewId;
+        let v = ViewId(1);
+        let w = ViewId(2);
+        let mut seq: GmCastMsg<u32> = GmCastMsg::Seq {
+            view: v,
+            sns: vec![(
+                MsgId {
+                    origin: Pid::new(0),
+                    seq: 0,
+                },
+                0,
+            )],
+        };
+        let seq2 = GmCastMsg::Seq {
+            view: v,
+            sns: vec![(
+                MsgId {
+                    origin: Pid::new(1),
+                    seq: 0,
+                },
+                1,
+            )],
+        };
+        assert!(seq.try_merge(&seq2));
+        let GmCastMsg::Seq { sns, .. } = &seq else {
+            panic!()
+        };
+        assert_eq!(sns.len(), 2);
+
+        let seq_other_view = GmCastMsg::Seq {
+            view: w,
+            sns: vec![(
+                MsgId {
+                    origin: Pid::new(1),
+                    seq: 1,
+                },
+                0,
+            )],
+        };
+        assert!(!seq.try_merge(&seq_other_view));
+
+        let mut del: GmCastMsg<u32> = GmCastMsg::Deliver {
+            view: v,
+            sns: vec![0],
+            stable_up_to: 1,
+        };
+        let del2 = GmCastMsg::Deliver {
+            view: v,
+            sns: vec![1, 2],
+            stable_up_to: 3,
+        };
+        assert!(del.try_merge(&del2));
+        let GmCastMsg::Deliver {
+            sns, stable_up_to, ..
+        } = &del
+        else {
+            panic!()
+        };
+        assert_eq!(sns, &vec![0, 1, 2]);
+        assert_eq!(*stable_up_to, 3);
+
+        let mut ack: GmCastMsg<u32> = GmCastMsg::AckSn {
+            view: v,
+            sns: vec![5],
+        };
+        let data = GmCastMsg::Data {
+            view: v,
+            id: MsgId {
+                origin: Pid::new(0),
+                seq: 0,
+            },
+            payload: 1,
+        };
+        assert!(!ack.try_merge(&data), "different kinds never merge");
     }
 }

@@ -28,8 +28,8 @@ use consensus::{Consensus, ConsensusAction, ConsensusConfig};
 use membership::{GmMsg, View, ViewId, ViewProposal};
 use neko::{FdEvent, Pid};
 
-use super::{Bundle, GmAbcast, GmCastAction, GmCastMsg};
-use crate::common::Payload;
+use super::{Actions, Bundle, GmAbcast, GmCastMsg, TAG_CATCHUP_RETRY, TAG_JOIN_RETRY};
+use crate::common::{CastAction, Payload};
 
 /// Whether this process belongs to the group.
 #[derive(Clone, Debug)]
@@ -57,7 +57,7 @@ pub(super) struct Vc<P: Payload> {
 pub(super) type VcProgress = (usize, usize, usize, bool, (u32, &'static str, usize, usize));
 
 impl<P: Payload> Vc<P> {
-    /// [`GmAbcast::vc_probe`] compares two successive signatures and
+    /// `GmAbcast::vc_probe` compares two successive signatures and
     /// re-sends the flush and consensus state only when they are equal.
     /// The contract is therefore: any progress of the view change (an
     /// exclusion, a join, a flush exchange, the proposal or any step of
@@ -79,15 +79,11 @@ impl<P: Payload> GmAbcast<P> {
     }
 
     /// Handles a failure-detector edge.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Vec<GmCastAction<P>>) {
+    pub(super) fn handle_fd(&mut self, ev: FdEvent, out: &mut Actions<P>) {
         self.suspects.apply(ev);
-        if self.vc.is_some() {
-            let cons_out = {
-                let vc = self.vc.as_mut().expect("checked above");
-                let mut cons_out = Vec::new();
-                vc.cons.on_fd(ev, &mut cons_out);
-                cons_out
-            };
+        if let Some(vc) = &mut self.vc {
+            let mut cons_out = Vec::new();
+            vc.cons.on_fd(ev, &mut cons_out);
             self.pump_cons(cons_out, out);
         }
         // While an install is pending its follow-up re-checks the
@@ -108,26 +104,16 @@ impl<P: Payload> GmAbcast<P> {
         self.finish_installs(out);
     }
 
-    /// Periodic view-change repair probe. Call at a coarse interval
-    /// (the [`crate::GmNode`] shell uses a timer): when a view change
-    /// has made *no* observable progress since the last probe, re-send
-    /// our flush exchange and the view-change consensus's directed
-    /// state — unwedging a member-to-be that missed the flush and
-    /// cross-round consensus stalls. Quiet whenever no view change is
-    /// in progress or it is progressing, so healthy runs are untouched.
-    pub fn vc_probe(&mut self, out: &mut Vec<GmCastAction<P>>) {
-        let sig = (self.view.id(), self.vc.as_ref().map(Vc::progress));
-        let stalled = self.vc.is_some() && self.last_vc_probe.as_ref() == Some(&sig);
-        self.last_vc_probe = Some(sig);
-        if stalled {
-            self.stalled_vc_probes += 1;
-        } else {
-            self.stalled_vc_probes = 0;
-        }
-        // Two consecutive frozen probes (≥ 2 intervals of zero
-        // progress) separate a genuine wedge from a view change that
-        // is merely slow under load.
-        if self.stalled_vc_probes < 2 {
+    /// Periodic view-change repair probe (the shell's probe timer):
+    /// when a view change has made *no* observable progress for two
+    /// probes, re-send our flush exchange and the view-change
+    /// consensus's directed state — unwedging a member-to-be that
+    /// missed the flush and cross-round consensus stalls. Quiet
+    /// whenever no view change is in progress or it is progressing, so
+    /// healthy runs are untouched.
+    pub(super) fn vc_probe(&mut self, out: &mut Actions<P>) {
+        let sig = self.vc.as_ref().map(|vc| (self.view.id(), vc.progress()));
+        if !self.vc_stall.stalled(sig) {
             return;
         }
         // Believe straggler Welcomes from here on: our copy of the
@@ -138,13 +124,13 @@ impl<P: Payload> GmAbcast<P> {
         self.finish_installs(out);
     }
 
-    /// Sends a join request (the shell calls this on
-    /// [`GmCastAction::JoinNeeded`] and again on a timer until
-    /// readmitted; members that still suspect us ignore the request).
-    /// The first attempt asks every member of the view that excluded
-    /// us; retries rotate through every process that has ever been a
-    /// member, because that view may itself have been superseded.
-    pub fn request_join(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    /// Sends a join request (at exclusion, and again on the retry
+    /// timer until readmitted; members that still suspect us ignore
+    /// the request). The first attempt asks every member of the view
+    /// that excluded us; retries rotate through every process that has
+    /// ever been a member, because that view may itself have been
+    /// superseded.
+    pub(super) fn request_join(&mut self, out: &mut Actions<P>) {
         let Mode::Excluded { known } = &self.mode else {
             return;
         };
@@ -153,7 +139,7 @@ impl<P: Payload> GmAbcast<P> {
             // the excluding view can sponsor the rejoin.
             for &m in known.members() {
                 if m != self.me {
-                    out.push(GmCastAction::Send(m, GmCastMsg::Gm(GmMsg::Join)));
+                    out.push(CastAction::Send(m, GmCastMsg::Gm(GmMsg::Join)));
                 }
             }
         } else {
@@ -168,10 +154,40 @@ impl<P: Payload> GmAbcast<P> {
             if let Some(&target) =
                 candidates.get(self.join_attempts as usize % candidates.len().max(1))
             {
-                out.push(GmCastAction::Send(target, GmCastMsg::Gm(GmMsg::Join)));
+                out.push(CastAction::Send(target, GmCastMsg::Gm(GmMsg::Join)));
             }
         }
         self.join_attempts += 1;
+    }
+
+    /// Runs an entry point's `step`, then sends the join requests its
+    /// exclusions owe, each right behind the retry action of its
+    /// exclusion. They are made only now, with the state the whole
+    /// step left: a later part of it may have readmitted us (then there
+    /// is nothing to ask) or named a newer view to ask.
+    pub(super) fn with_due_joins(
+        &mut self,
+        out: &mut Actions<P>,
+        step: impl FnOnce(&mut Self, &mut Actions<P>),
+    ) {
+        let start = out.len();
+        step(self, out);
+        if !std::mem::take(&mut self.joins_due) {
+            return;
+        }
+        let mut next = start;
+        while let Some(a) = out.get(next) {
+            next += 1;
+            if matches!(a, CastAction::Retry(TAG_JOIN_RETRY)) {
+                let end = out.len();
+                self.request_join(out);
+                let added = out.len() - end;
+                if let Some(after) = out.get_mut(next..) {
+                    after.rotate_right(added);
+                }
+                next += added;
+            }
+        }
     }
 
     /// The current view, as a `Welcome` names it.
@@ -185,7 +201,7 @@ impl<P: Payload> GmAbcast<P> {
     /// Runs the deferred part of every install: drains view-change
     /// traffic buffered for the new view, then re-checks lingering
     /// suspicions and queued joins.
-    pub(super) fn finish_installs(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    pub(super) fn finish_installs(&mut self, out: &mut Actions<P>) {
         while self.install_pending {
             self.install_pending = false;
             if !self.is_member() {
@@ -216,12 +232,7 @@ impl<P: Payload> GmAbcast<P> {
 
     /// Handles a membership message; the entry point runs
     /// `finish_installs` after it.
-    pub(super) fn handle_gm(
-        &mut self,
-        from: Pid,
-        msg: GmMsg<Bundle<P>>,
-        out: &mut Vec<GmCastAction<P>>,
-    ) {
+    pub(super) fn handle_gm(&mut self, from: Pid, msg: GmMsg<Bundle<P>>, out: &mut Actions<P>) {
         match msg {
             GmMsg::Flush { view, .. } | GmMsg::Cons { view, .. } => {
                 self.on_vc_traffic(from, view, msg, out)
@@ -233,7 +244,7 @@ impl<P: Payload> GmAbcast<P> {
                 if self.view.contains(from) {
                     // Already in (our Welcome may have been missed):
                     // answer directly.
-                    out.push(GmCastAction::Send(from, GmCastMsg::Gm(self.welcome())));
+                    out.push(CastAction::Send(from, GmCastMsg::Gm(self.welcome())));
                     return;
                 }
                 if self.suspects.is_suspected(from) {
@@ -269,7 +280,7 @@ impl<P: Payload> GmAbcast<P> {
                     let member_may_jump =
                         self.vc.is_none() || view > self.view.id().next() || self.stale_jump_armed;
                     if !self.is_member() || member_may_jump {
-                        self.view = v;
+                        self.set_view(v, out);
                         self.mode = Mode::Member;
                         self.vc = None;
                         self.stale_jump_armed = false;
@@ -297,7 +308,7 @@ impl<P: Payload> GmAbcast<P> {
         from: Pid,
         view: ViewId,
         msg: GmMsg<Bundle<P>>,
-        out: &mut Vec<GmCastAction<P>>,
+        out: &mut Actions<P>,
     ) {
         if view < self.view.id() && self.is_member() {
             self.welcome_straggler(from, out);
@@ -321,7 +332,9 @@ impl<P: Payload> GmAbcast<P> {
             if self.vc.is_none() {
                 self.start_vc(excluded.clone(), joining.clone(), out);
             }
-            let vc = self.vc.as_mut().expect("started above");
+            // A view of one decides its own change inside `start_vc`,
+            // and the install leaves no change for the flush to join.
+            let Some(vc) = &mut self.vc else { return };
             vc.excluded.extend(excluded.iter().copied());
             for j in joining {
                 if !vc.excluded.contains(&j) {
@@ -338,18 +351,16 @@ impl<P: Payload> GmAbcast<P> {
                 let excluded = self.view.suspected_others(self.me, &self.suspects);
                 self.start_vc(excluded, BTreeSet::new(), out);
             }
-            let cons_out = {
-                let vc = self.vc.as_mut().expect("started above");
-                let mut cons_out = Vec::new();
-                vc.cons.on_message(from, inner, &mut cons_out);
-                cons_out
-            };
+            // As for a flush: a view of one may have installed already.
+            let Some(vc) = &mut self.vc else { return };
+            let mut cons_out = Vec::new();
+            vc.cons.on_message(from, inner, &mut cons_out);
             self.pump_cons(cons_out, out);
         }
     }
 
     /// We left the group: `known` is the view we are not part of.
-    fn excluded(&mut self, known: View, out: &mut Vec<GmCastAction<P>>) {
+    fn excluded(&mut self, known: View, out: &mut Actions<P>) {
         self.vc = None;
         self.mode = Mode::Excluded { known };
         self.join_attempts = 0;
@@ -360,12 +371,15 @@ impl<P: Payload> GmAbcast<P> {
         // again under their original ids.
         let mine = self.own_undelivered();
         self.unsent.extend(mine);
-        out.push(GmCastAction::JoinNeeded);
+        // Ask to rejoin now and on the retry timer; the request itself
+        // goes out when the entry point ends (`with_due_joins`).
+        out.push(CastAction::Retry(TAG_JOIN_RETRY));
+        self.joins_due = true;
     }
 
     /// We adopted the current view from a `Welcome`: catch up on what
     /// it delivered without us by state transfer.
-    fn readmitted(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn readmitted(&mut self, out: &mut Actions<P>) {
         // A member that fell a whole view behind adopts the newer view
         // through this same path without passing through `excluded` —
         // save our own undelivered broadcasts from the state reset.
@@ -377,15 +391,8 @@ impl<P: Payload> GmAbcast<P> {
         }
         self.catching_up = true;
         self.reset_view_state();
-        for m in self.view.others(self.me) {
-            out.push(GmCastAction::Send(
-                m,
-                GmCastMsg::StateReq {
-                    from_index: self.delivered_log.len() as u64,
-                },
-            ));
-        }
-        out.push(GmCastAction::CatchupNeeded);
+        self.request_state(out);
+        out.push(CastAction::Retry(TAG_CATCHUP_RETRY));
     }
 
     /// Repairs a stalled view change: re-multicasts our flush
@@ -395,23 +402,19 @@ impl<P: Payload> GmAbcast<P> {
     /// (unwedging cross-round stalls — see
     /// [`consensus::Consensus::resend_to`]). Everything re-sent is
     /// idempotent at the receivers.
-    fn vc_resend(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn vc_resend(&mut self, out: &mut Actions<P>) {
         let cons_out = {
             let Some(vc) = &self.vc else { return };
-            let others = self.view.others(self.me);
             if let Some(own) = vc.exchanges.get(&self.me) {
-                out.push(GmCastAction::Multicast(
-                    others.clone(),
-                    GmCastMsg::Gm(GmMsg::Flush {
-                        view: self.view.id(),
-                        excluded: vc.excluded.clone(),
-                        joining: vc.joining.clone(),
-                        unstable: own.clone(),
-                    }),
-                ));
+                out.push(CastAction::Multicast(GmCastMsg::Gm(GmMsg::Flush {
+                    view: self.view.id(),
+                    excluded: vc.excluded.clone(),
+                    joining: vc.joining.clone(),
+                    unstable: own.clone(),
+                })));
             }
             let mut cons_out = Vec::new();
-            for p in others {
+            for p in self.view.others(self.me).iter() {
                 vc.cons.resend_to(p, &mut cons_out);
             }
             cons_out
@@ -426,18 +429,13 @@ impl<P: Payload> GmAbcast<P> {
     /// message silently would wedge it (and every view change waiting
     /// for its exchange) forever. Tell it where the group is; its
     /// Welcome handler turns the news into a rejoin or a catch-up.
-    fn welcome_straggler(&self, from: Pid, out: &mut Vec<GmCastAction<P>>) {
+    fn welcome_straggler(&self, from: Pid, out: &mut Actions<P>) {
         if self.is_member() && from != self.me {
-            out.push(GmCastAction::Send(from, GmCastMsg::Gm(self.welcome())));
+            out.push(CastAction::Send(from, GmCastMsg::Gm(self.welcome())));
         }
     }
 
-    fn start_vc(
-        &mut self,
-        excluded: BTreeSet<Pid>,
-        joining: BTreeSet<Pid>,
-        out: &mut Vec<GmCastAction<P>>,
-    ) {
+    fn start_vc(&mut self, excluded: BTreeSet<Pid>, joining: BTreeSet<Pid>, out: &mut Actions<P>) {
         debug_assert!(self.vc.is_none());
         // Our flush: the unstable messages of the closing view.
         let u = Bundle {
@@ -459,20 +457,17 @@ impl<P: Payload> GmAbcast<P> {
             cons: Consensus::new(cfg, &self.suspects),
             proposed: false,
         };
-        out.push(GmCastAction::Multicast(
-            self.view.others(self.me),
-            GmCastMsg::Gm(GmMsg::Flush {
-                view: self.view.id(),
-                excluded,
-                joining,
-                unstable: u,
-            }),
-        ));
+        out.push(CastAction::Multicast(GmCastMsg::Gm(GmMsg::Flush {
+            view: self.view.id(),
+            excluded,
+            joining,
+            unstable: u,
+        })));
         self.vc = Some(vc);
         self.check_propose(out);
     }
 
-    fn check_propose(&mut self, out: &mut Vec<GmCastAction<P>>) {
+    fn check_propose(&mut self, out: &mut Actions<P>) {
         let Some(vc) = &mut self.vc else { return };
         if vc.proposed {
             return;
@@ -509,6 +504,13 @@ impl<P: Payload> GmAbcast<P> {
         if vc.exchanges.len() < self.view.len() - self.view.majority() + 1 {
             return;
         }
+        let mut exchanges = vc.exchanges.values();
+        let Some(mut unstable) = exchanges.next().cloned() else {
+            return;
+        };
+        for u in exchanges {
+            unstable.merge(u);
+        }
         vc.proposed = true;
         let mut members: BTreeSet<Pid> = self
             .view
@@ -526,11 +528,6 @@ impl<P: Payload> GmAbcast<P> {
         if members.is_empty() {
             members.insert(self.me); // never propose an empty view
         }
-        let mut exchanges = vc.exchanges.values();
-        let mut unstable = exchanges.next().expect("own exchange present").clone();
-        for u in exchanges {
-            unstable.merge(u);
-        }
         let cons_out = {
             let mut cons_out = Vec::new();
             vc.cons
@@ -543,15 +540,14 @@ impl<P: Payload> GmAbcast<P> {
     fn pump_cons(
         &mut self,
         cons_out: Vec<ConsensusAction<ViewProposal<Bundle<P>>>>,
-        out: &mut Vec<GmCastAction<P>>,
+        out: &mut Actions<P>,
     ) {
         let vid = self.view.id();
-        let others = self.view.others(self.me);
         let mut decided = None;
         for a in cons_out {
             match a {
                 ConsensusAction::Send(p, m) => {
-                    out.push(GmCastAction::Send(
+                    out.push(CastAction::Send(
                         p,
                         GmCastMsg::Gm(GmMsg::Cons {
                             view: vid,
@@ -560,13 +556,10 @@ impl<P: Payload> GmAbcast<P> {
                     ));
                 }
                 ConsensusAction::Multicast(m) => {
-                    out.push(GmCastAction::Multicast(
-                        others.clone(),
-                        GmCastMsg::Gm(GmMsg::Cons {
-                            view: vid,
-                            inner: m,
-                        }),
-                    ));
+                    out.push(CastAction::Multicast(GmCastMsg::Gm(GmMsg::Cons {
+                        view: vid,
+                        inner: m,
+                    })));
                 }
                 ConsensusAction::Decided(p) => decided = Some(p),
             }
@@ -578,7 +571,7 @@ impl<P: Payload> GmAbcast<P> {
 
     /// The view change's decision: install the next view — delivering
     /// the agreed unstable set first — or learn that we are not in it.
-    fn install(&mut self, proposal: ViewProposal<Bundle<P>>, out: &mut Vec<GmCastAction<P>>) {
+    fn install(&mut self, proposal: ViewProposal<Bundle<P>>, out: &mut Actions<P>) {
         let new_view = View::new(self.view.id().next(), proposal.members);
         self.universe.extend(new_view.members().iter().copied());
         let joined: Vec<Pid> = new_view
@@ -593,13 +586,13 @@ impl<P: Payload> GmAbcast<P> {
             self.excluded(new_view, out);
             return;
         }
-        self.view = new_view;
+        self.set_view(new_view, out);
         self.mode = Mode::Member;
         self.install_pending = true;
         self.apply_install(proposal.unstable, out);
         if self.view.sequencer() == self.me {
             for j in joined {
-                out.push(GmCastAction::Send(j, GmCastMsg::Gm(self.welcome())));
+                out.push(CastAction::Send(j, GmCastMsg::Gm(self.welcome())));
             }
         }
     }

@@ -1,7 +1,8 @@
 //! # abcast — two uniform atomic broadcast algorithms
 //!
 //! The two algorithms the DSN 2003 paper compares, as engine-agnostic
-//! state machines plus [`neko::Process`] shells:
+//! state machines behind one [`Machine`] trait, and one
+//! [`neko::Process`] shell, [`Node`], that runs either:
 //!
 //! * [`FdAbcast`] / [`FdNode`] — the **FD algorithm**: Chandra–Toueg
 //!   atomic broadcast by reduction to a sequence of ♦S consensus
@@ -14,6 +15,12 @@
 //!   over the [`membership`] crate's views and messages) handles
 //!   crashes and suspicions. The non-uniform variant of the paper's
 //!   Section 8 is available through [`Uniformity::NonUniform`].
+//!
+//! A machine queues what it decides as [`CastAction`]s; the shell
+//! carries them out and owns the timers and the multicast group: the
+//! periodic stall probe of either machine, the retry timers GM asks
+//! for while it is excluded or catching up, and the group GM names for
+//! each view it installs.
 //!
 //! Both tolerate `f < n/2` crashes, and in suspicion-free runs they
 //! generate the *same* pattern of messages (paper Fig. 1) — the
@@ -43,10 +50,10 @@ mod gm;
 mod node;
 
 pub use batch::{BatchConfig, Batched, Batcher, Pack};
-pub use common::{AbcastEvent, MsgId, Payload};
+pub use common::{AbcastEvent, CastAction, MsgId, Payload};
 pub use fd::{
-    Actions, Batch, Bodies, CastAction, CastMsg, FdAbcast, FdCastAction, FdCastMsg, Local, Pending,
-    Repair, Strategy,
+    Actions, Batch, Bodies, CastMsg, FdAbcast, FdCastAction, FdCastMsg, Local, Pending, Repair,
+    Strategy,
 };
-pub use gm::{Bundle, GmAbcast, GmCastAction, GmCastMsg, Uniformity, NONUNIFORM_ACK_EVERY};
-pub use node::{FdNode, GmNode, RETRY_INTERVAL, STALL_PROBE_INTERVAL};
+pub use gm::{Bundle, GmAbcast, GmCastMsg, Uniformity, NONUNIFORM_ACK_EVERY};
+pub use node::{FdNode, GmNode, Machine, Node, RETRY_INTERVAL, STALL_PROBE_INTERVAL};

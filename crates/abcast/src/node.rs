@@ -1,14 +1,20 @@
-//! [`neko::Process`] shells for the two algorithms, so the same state
-//! machines run on the simulator and on the real-time runtime
-//! ([`neko::RealRuntime`], where `on_fd` edges come from a live
-//! heartbeat detector and timers ride the OS clock — see the
-//! cross-backend conformance tests in `tests/conformance.rs`).
+//! The one [`neko::Process`] shell of every stack: a [`Node`] runs any
+//! [`Machine`] — the FD reduction with either strategy (FD and Ring)
+//! and GM — so the same state machines run on the simulator and on the
+//! real-time runtime ([`neko::RealRuntime`], where `on_fd` edges come
+//! from a live heartbeat detector and timers ride the OS clock — see
+//! the cross-backend conformance tests in `tests/conformance.rs`). The
+//! shell owns the probe timer, the retry timers a machine asks for and
+//! the group its multicasts go to; it never looks at which algorithm
+//! it runs.
+
+use std::fmt;
 
 use neko::{Ctx, Dur, FdEvent, Message, Pid, Process, TimerId};
 
-use crate::common::{AbcastEvent, Payload};
-use crate::fd::{Actions, Bodies, CastAction, FdAbcast, Strategy};
-use crate::gm::{GmAbcast, GmCastAction, GmCastMsg, Uniformity};
+use crate::common::{AbcastEvent, CastAction, MsgId, Payload};
+use crate::fd::{Bodies, FdAbcast, Strategy};
+use crate::gm::{GmAbcast, Uniformity};
 
 /// How often an excluded process re-sends its join request, and a
 /// catching-up process its state request. Ten network time units —
@@ -16,16 +22,12 @@ use crate::gm::{GmAbcast, GmCastAction, GmCastMsg, Uniformity};
 /// latency small against `T_MR`.
 pub const RETRY_INTERVAL: Dur = Dur::from_millis(10);
 
-const TAG_JOIN_RETRY: u64 = 1;
-const TAG_CATCHUP_RETRY: u64 = 2;
-const TAG_STALL_PROBE: u64 = 3;
-const TAG_VC_PROBE: u64 = 4;
-
-/// How often an [`FdNode`] checks its oldest undecided consensus
-/// instance for a stall (lost messages after a crash-recovery or a
-/// healed partition). Coarse on purpose: in loss-free runs an
-/// instance always progresses between probes, so the probe stays
-/// silent and steady-state message patterns are untouched.
+/// How often a [`Node`] probes its machine for a stall: FD's oldest
+/// undecided consensus instance, or GM's view change in progress
+/// (lost messages after a crash-recovery or a healed partition).
+/// Coarse on purpose: in loss-free runs the work always progresses
+/// between probes, so the probe stays silent and steady-state message
+/// patterns are untouched.
 pub const STALL_PROBE_INTERVAL: Dur = Dur::from_millis(50);
 
 /// Probe period for a group of `n`: the historical 50 ms through
@@ -47,112 +49,112 @@ fn probe_interval(n: usize) -> Dur {
     }
 }
 
-impl<P: Payload> Message for GmCastMsg<P> {
-    /// `Seq`, `AckSn` and `Deliver` carry several sequence numbers when
-    /// queued behind each other (paper Section 4.2).
-    fn try_merge(&mut self, other: &Self) -> bool {
-        match (self, other) {
-            (GmCastMsg::Seq { view: v1, sns: a }, GmCastMsg::Seq { view: v2, sns: b })
-                if v1 == v2 =>
-            {
-                a.extend(b.iter().copied());
-                true
-            }
-            (GmCastMsg::AckSn { view: v1, sns: a }, GmCastMsg::AckSn { view: v2, sns: b })
-                if v1 == v2 =>
-            {
-                a.extend(b.iter().copied());
-                true
-            }
-            (
-                GmCastMsg::Deliver {
-                    view: v1,
-                    sns: a,
-                    stable_up_to: s1,
-                },
-                GmCastMsg::Deliver {
-                    view: v2,
-                    sns: b,
-                    stable_up_to: s2,
-                },
-            ) if v1 == v2 => {
-                a.extend(b.iter().copied());
-                *s1 = (*s1).max(*s2);
-                true
-            }
-            (
-                GmCastMsg::AckUpTo { view: v1, up_to: a },
-                GmCastMsg::AckUpTo { view: v2, up_to: b },
-            ) if v1 == v2 => {
-                *a = (*a).max(*b);
-                true
-            }
-            _ => false,
-        }
+/// An atomic broadcast state machine that the [`Node`] shell runs:
+/// the FD reduction with any [`Strategy`], and GM. Each entry point
+/// queues what it decided as [`CastAction`]s, which the shell carries
+/// out in order once the call returns.
+pub trait Machine: fmt::Debug + 'static {
+    /// What processes A-broadcast.
+    type Payload: Payload;
+    /// The wire message.
+    type Msg: Message;
+    /// The tag of the probe timer. Every other tag that fires goes to
+    /// [`retry`](Machine::retry), so no retry tag may equal it.
+    const PROBE_TAG: u64;
+
+    /// `A-broadcast(payload)`; returns the new message's id.
+    fn broadcast(&mut self, payload: Self::Payload, out: &mut ActionsOf<Self>) -> MsgId;
+    /// Handles a wire message.
+    fn on_message(&mut self, from: Pid, msg: Self::Msg, out: &mut ActionsOf<Self>);
+    /// Handles a failure-detector edge.
+    fn on_fd(&mut self, ev: FdEvent, out: &mut ActionsOf<Self>);
+    /// The periodic probe (every [`STALL_PROBE_INTERVAL`] up to
+    /// n = 64): repairs work in flight that has stopped progressing.
+    fn probe(&mut self, out: &mut ActionsOf<Self>);
+    /// The retry timer tagged `tag`, armed on a [`CastAction::Retry`],
+    /// fired.
+    fn retry(&mut self, tag: u64, out: &mut ActionsOf<Self>) {
+        let _ = (tag, out);
     }
+    /// The process recovered from a crash with its pre-crash state;
+    /// the timers due while it was down never fired.
+    fn recover(&mut self, out: &mut ActionsOf<Self>) {
+        let _ = out;
+    }
+}
+
+/// The action buffer of a [`Machine`].
+type ActionsOf<M> = Vec<CastAction<<M as Machine>::Msg, <M as Machine>::Payload>>;
+
+/// A process running an atomic broadcast [`Machine`]. Commands are
+/// payloads to A-broadcast; outputs are A-deliveries.
+#[derive(Debug)]
+pub struct Node<M: Machine> {
+    inner: M,
+    probe_timer: Option<TimerId>,
+    /// Probe period, scaled to the group size (see
+    /// [`probe_interval`]).
+    probe_after: Dur,
+    /// The machine's group: where its multicasts go.
+    group: Vec<Pid>,
+    /// Reused action buffer (cleared between handler calls).
+    actions: ActionsOf<M>,
 }
 
 /// A process running the **FD algorithm** (Chandra–Toueg atomic
 /// broadcast), or any other instance of its reduction: the strategy
-/// `S` picks what consensus orders. Commands are payloads to
-/// A-broadcast; outputs are A-deliveries.
-#[derive(Debug)]
-pub struct FdNode<P: Payload, S: Strategy<P> = Bodies> {
-    inner: FdAbcast<P, S>,
-    probe_timer: Option<TimerId>,
-    /// Stall-probe period, scaled to the group size (see
-    /// [`probe_interval`]).
-    probe_after: Dur,
-    /// Every other process — the fixed multicast destination set,
-    /// computed once instead of per handler call.
-    others: Vec<Pid>,
-    /// Reused action buffer (cleared between handler calls).
-    actions: Actions<S, P>,
-}
+/// `S` picks what consensus orders.
+pub type FdNode<P, S = Bodies> = Node<FdAbcast<P, S>>;
 
-impl<P: Payload> FdNode<P> {
-    /// Disables the coordinator-renumbering optimisation (ablation).
-    pub fn without_renumbering(mut self) -> Self {
-        self.inner = self.inner.without_renumbering();
-        self
-    }
-}
+/// A process running the **GM algorithm** (fixed-sequencer atomic
+/// broadcast over group membership).
+pub type GmNode<P> = Node<GmAbcast<P>>;
 
-impl<P: Payload, S: Strategy<P>> FdNode<P, S> {
-    /// Creates the node; `suspects_at_start` seeds the failure
-    /// detector output for crash-steady scenarios.
-    pub fn new(me: Pid, n: usize, suspects_at_start: &fdet::SuspectSet) -> Self {
-        FdNode {
-            inner: FdAbcast::new(me, n, suspects_at_start),
+impl<M: Machine> Node<M> {
+    fn wrap(inner: M, me: Pid, n: usize) -> Self {
+        Node {
+            inner,
             probe_timer: None,
             probe_after: probe_interval(n),
-            others: Pid::all(n).filter(|&p| p != me).collect(),
+            group: Pid::all(n).filter(|&p| p != me).collect(),
             actions: Vec::new(),
         }
     }
 
-    fn arm_probe(&mut self, ctx: &mut dyn Ctx<S::Msg, AbcastEvent<P>>) {
+    /// The wrapped state machine (inspection in tests/examples).
+    pub fn algorithm(&self) -> &M {
+        &self.inner
+    }
+
+    fn arm_probe(&mut self, ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>) {
         if let Some(id) = self.probe_timer.take() {
             ctx.cancel_timer(id);
         }
-        self.probe_timer = Some(ctx.set_timer(self.probe_after, TAG_STALL_PROBE));
+        self.probe_timer = Some(ctx.set_timer(self.probe_after, M::PROBE_TAG));
     }
 
     /// Runs one step of the state machine and carries out the actions
     /// it queued, reusing the action buffer across calls.
     fn handle(
         &mut self,
-        ctx: &mut dyn Ctx<S::Msg, AbcastEvent<P>>,
-        step: impl FnOnce(&mut FdAbcast<P, S>, &mut Actions<S, P>),
+        ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>,
+        step: impl FnOnce(&mut M, &mut ActionsOf<M>),
     ) {
         let mut actions = std::mem::take(&mut self.actions);
         step(&mut self.inner, &mut actions);
         for a in actions.drain(..) {
             match a {
                 CastAction::Send(to, m) => ctx.send(to, m),
-                CastAction::Multicast(m) => ctx.multicast(&self.others, m),
+                CastAction::Multicast(m) => ctx.multicast(&self.group, m),
                 CastAction::Deliver { id, payload } => {
                     ctx.emit(AbcastEvent::Delivered { id, payload })
+                }
+                CastAction::Group(group) => {
+                    self.group.clear();
+                    self.group.extend(group.iter());
+                }
+                CastAction::Retry(tag) => {
+                    ctx.set_timer(RETRY_INTERVAL, tag);
                 }
             }
         }
@@ -161,61 +163,20 @@ impl<P: Payload, S: Strategy<P>> FdNode<P, S> {
     }
 }
 
-impl<P: Payload, S: Strategy<P>> Process for FdNode<P, S> {
-    type Msg = S::Msg;
-    type Cmd = P;
-    type Out = AbcastEvent<P>;
-
-    fn on_start(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
-        self.arm_probe(ctx);
-    }
-
-    fn on_recover(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
-        // Probe ticks due while we were down never fired; restart the
-        // chain (cancelling a stale pre-crash timer, if any).
-        self.arm_probe(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, id: TimerId, tag: u64) {
-        if tag == TAG_STALL_PROBE && self.probe_timer == Some(id) {
-            // The probe only queues actions, so re-arming first keeps
-            // the timer ahead of the probe's sends.
-            self.arm_probe(ctx);
-            self.handle(ctx, FdAbcast::stall_probe);
-        }
-    }
-
-    fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: P) {
-        self.handle(ctx, |a, out| {
-            a.broadcast(cmd, out);
-        });
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, from: Pid, msg: Self::Msg) {
-        self.handle(ctx, |a, out| a.on_message(from, msg, out));
-    }
-
-    fn on_fd(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, ev: FdEvent) {
-        self.handle(ctx, |a, out| a.on_fd(ev, out));
+impl<P: Payload, S: Strategy<P>> FdNode<P, S> {
+    /// Creates the node; `suspects_at_start` seeds the failure
+    /// detector output for crash-steady scenarios.
+    pub fn new(me: Pid, n: usize, suspects_at_start: &fdet::SuspectSet) -> Self {
+        Node::wrap(FdAbcast::new(me, n, suspects_at_start), me, n)
     }
 }
 
-/// A process running the **GM algorithm** (fixed-sequencer atomic
-/// broadcast over group membership).
-#[derive(Debug)]
-pub struct GmNode<P: Payload> {
-    inner: GmAbcast<P>,
-    /// Periodic check of an in-progress view change for a stall (a
-    /// flush or consensus message lost toward a member that had not
-    /// yet adopted the view, or a cross-round consensus wedge). A
-    /// progressing view change resets the probe, so healthy runs see
-    /// no repair traffic at all.
-    vc_probe_timer: Option<TimerId>,
-    /// View-change-probe period, scaled to the group size (see
-    /// [`probe_interval`]).
-    probe_after: Dur,
-    /// Reused action buffer (cleared between handler calls).
-    actions: Vec<GmCastAction<P>>,
+impl<P: Payload> FdNode<P> {
+    /// Disables the coordinator-renumbering optimisation (ablation).
+    pub fn without_renumbering(mut self) -> Self {
+        self.inner = self.inner.without_renumbering();
+        self
+    }
 }
 
 impl<P: Payload> GmNode<P> {
@@ -231,115 +192,49 @@ impl<P: Payload> GmNode<P> {
         suspects_at_start: &fdet::SuspectSet,
         uniformity: Uniformity,
     ) -> Self {
-        GmNode {
-            inner: GmAbcast::new(me, n, suspects_at_start, uniformity),
-            vc_probe_timer: None,
-            probe_after: probe_interval(n),
-            actions: Vec::new(),
-        }
-    }
-
-    fn arm_vc_probe(&mut self, ctx: &mut dyn Ctx<GmCastMsg<P>, AbcastEvent<P>>) {
-        if let Some(id) = self.vc_probe_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        self.vc_probe_timer = Some(ctx.set_timer(self.probe_after, TAG_VC_PROBE));
-    }
-
-    /// The wrapped state machine (inspection in tests/examples).
-    pub fn algorithm(&self) -> &GmAbcast<P> {
-        &self.inner
-    }
-
-    fn run(
-        &mut self,
-        mut actions: Vec<GmCastAction<P>>,
-        ctx: &mut dyn Ctx<GmCastMsg<P>, AbcastEvent<P>>,
-    ) {
-        for a in actions.drain(..) {
-            match a {
-                GmCastAction::Send(to, m) => ctx.send(to, m),
-                GmCastAction::Multicast(dests, m) => ctx.multicast(&dests, m),
-                GmCastAction::Deliver { id, payload } => {
-                    ctx.emit(AbcastEvent::Delivered { id, payload })
-                }
-                GmCastAction::JoinNeeded => {
-                    let mut out = Vec::new();
-                    self.inner.request_join(&mut out);
-                    ctx.set_timer(RETRY_INTERVAL, TAG_JOIN_RETRY);
-                    self.run(out, ctx);
-                }
-                GmCastAction::CatchupNeeded => {
-                    ctx.set_timer(RETRY_INTERVAL, TAG_CATCHUP_RETRY);
-                }
-            }
-        }
-        // Park the (now empty) buffer for the next handler call. The
-        // recursive JoinNeeded arm above allocates its own vector, so
-        // only the outermost call's buffer is kept.
-        self.actions = actions;
+        Node::wrap(GmAbcast::new(me, n, suspects_at_start, uniformity), me, n)
     }
 }
 
-impl<P: Payload> Process for GmNode<P> {
-    type Msg = GmCastMsg<P>;
-    type Cmd = P;
-    type Out = AbcastEvent<P>;
+impl<M: Machine> Process for Node<M> {
+    type Msg = M::Msg;
+    type Cmd = M::Payload;
+    type Out = AbcastEvent<M::Payload>;
 
     fn on_start(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
-        self.arm_vc_probe(ctx);
-    }
-
-    fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: P) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.broadcast(cmd, &mut out);
-        self.run(out, ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, from: Pid, msg: Self::Msg) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.on_message(from, msg, &mut out);
-        self.run(out, ctx);
-    }
-
-    fn on_fd(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, ev: FdEvent) {
-        let mut out = std::mem::take(&mut self.actions);
-        self.inner.on_fd(ev, &mut out);
-        self.run(out, ctx);
+        self.arm_probe(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
-        // Retry timers armed before the crash are gone; restart
-        // whatever loop our pre-crash state still needs.
-        self.arm_vc_probe(ctx);
-        let mut out = std::mem::take(&mut self.actions);
-        if self.inner.is_excluded() {
-            self.inner.request_join(&mut out);
-            ctx.set_timer(RETRY_INTERVAL, TAG_JOIN_RETRY);
-        } else if self.inner.is_catching_up() {
-            ctx.set_timer(RETRY_INTERVAL, TAG_CATCHUP_RETRY);
-        }
-        self.run(out, ctx);
+        // Probe ticks due while we were down never fired; restart the
+        // chain (cancelling a stale pre-crash timer, if any).
+        self.arm_probe(ctx);
+        self.handle(ctx, M::recover);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, id: TimerId, tag: u64) {
-        let mut out = std::mem::take(&mut self.actions);
-        match tag {
-            TAG_JOIN_RETRY if self.inner.is_excluded() => {
-                self.inner.request_join(&mut out);
-                ctx.set_timer(RETRY_INTERVAL, TAG_JOIN_RETRY);
-            }
-            TAG_CATCHUP_RETRY if self.inner.is_catching_up() => {
-                self.inner.request_state(&mut out);
-                ctx.set_timer(RETRY_INTERVAL, TAG_CATCHUP_RETRY);
-            }
-            TAG_VC_PROBE if self.vc_probe_timer == Some(id) => {
-                self.inner.vc_probe(&mut out);
-                self.arm_vc_probe(ctx);
-            }
-            _ => {}
+        if tag != M::PROBE_TAG {
+            self.handle(ctx, |m, out| m.retry(tag, out));
+        } else if self.probe_timer == Some(id) {
+            // The probe only queues actions, so re-arming first keeps
+            // the timer ahead of the probe's sends.
+            self.arm_probe(ctx);
+            self.handle(ctx, M::probe);
         }
-        self.run(out, ctx);
+    }
+
+    fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: M::Payload) {
+        self.handle(ctx, |m, out| {
+            m.broadcast(cmd, out);
+        });
+    }
+
+    fn on_message(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, from: Pid, msg: Self::Msg) {
+        self.handle(ctx, |m, out| m.on_message(from, msg, out));
+    }
+
+    fn on_fd(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, ev: FdEvent) {
+        self.handle(ctx, |m, out| m.on_fd(ev, out));
     }
 }
 
@@ -354,84 +249,6 @@ mod tests {
         assert_eq!(probe_interval(3), Dur::from_millis(50));
         assert_eq!(probe_interval(64), Dur::from_millis(50));
         assert_eq!(probe_interval(128), Dur::from_millis(256));
-    }
-
-    #[test]
-    fn gm_messages_merge_per_kind_and_view() {
-        use membership::ViewId;
-        let v = ViewId(1);
-        let w = ViewId(2);
-        let mut seq: GmCastMsg<u32> = GmCastMsg::Seq {
-            view: v,
-            sns: vec![(
-                MsgId {
-                    origin: Pid::new(0),
-                    seq: 0,
-                },
-                0,
-            )],
-        };
-        let seq2 = GmCastMsg::Seq {
-            view: v,
-            sns: vec![(
-                MsgId {
-                    origin: Pid::new(1),
-                    seq: 0,
-                },
-                1,
-            )],
-        };
-        assert!(seq.try_merge(&seq2));
-        let GmCastMsg::Seq { sns, .. } = &seq else {
-            panic!()
-        };
-        assert_eq!(sns.len(), 2);
-
-        let seq_other_view = GmCastMsg::Seq {
-            view: w,
-            sns: vec![(
-                MsgId {
-                    origin: Pid::new(1),
-                    seq: 1,
-                },
-                0,
-            )],
-        };
-        assert!(!seq.try_merge(&seq_other_view));
-
-        let mut del: GmCastMsg<u32> = GmCastMsg::Deliver {
-            view: v,
-            sns: vec![0],
-            stable_up_to: 1,
-        };
-        let del2 = GmCastMsg::Deliver {
-            view: v,
-            sns: vec![1, 2],
-            stable_up_to: 3,
-        };
-        assert!(del.try_merge(&del2));
-        let GmCastMsg::Deliver {
-            sns, stable_up_to, ..
-        } = &del
-        else {
-            panic!()
-        };
-        assert_eq!(sns, &vec![0, 1, 2]);
-        assert_eq!(*stable_up_to, 3);
-
-        let mut ack: GmCastMsg<u32> = GmCastMsg::AckSn {
-            view: v,
-            sns: vec![5],
-        };
-        let data = GmCastMsg::Data {
-            view: v,
-            id: MsgId {
-                origin: Pid::new(0),
-                seq: 0,
-            },
-            payload: 1,
-        };
-        assert!(!ack.try_merge(&data), "different kinds never merge");
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl<V: Value> Consensus<V> {
 
     /// Progress signature: `(round, phase, estimates, acks)`.
     ///
-    /// `FdAbcast::stall_probe` compares two successive signatures to
+    /// `FdAbcast`'s stall probe compares two successive signatures to
     /// tell a stalled instance from a slow one, and nudges the group
     /// only when they are equal. The contract is therefore: any
     /// progress this machine makes (a new round, phase, estimate or

@@ -4,7 +4,7 @@ use core::fmt;
 use std::collections::BTreeSet;
 
 use fdet::SuspectSet;
-use neko::Pid;
+use neko::{DestSet, Pid};
 
 /// Identifier of a view; views form a single totally ordered sequence
 /// (primary-partition membership).
@@ -102,8 +102,9 @@ impl View {
         self.members.len() / 2 + 1
     }
 
-    /// The members other than `me`, in pid order.
-    pub fn others(&self, me: Pid) -> Vec<Pid> {
+    /// The members other than `me`, as a multicast destination set
+    /// (which iterates in pid order).
+    pub fn others(&self, me: Pid) -> DestSet {
         self.members.iter().copied().filter(|&p| p != me).collect()
     }
 
@@ -142,7 +143,8 @@ mod tests {
         let members: BTreeSet<Pid> = [Pid::new(3), Pid::new(1), Pid::new(5)].into();
         let v = View::new(ViewId(2), members);
         assert_eq!(v.sequencer(), Pid::new(1));
-        assert_eq!(v.others(Pid::new(1)), vec![Pid::new(3), Pid::new(5)]);
+        let others: Vec<Pid> = v.others(Pid::new(1)).iter().collect();
+        assert_eq!(others, vec![Pid::new(3), Pid::new(5)]);
         assert_eq!(v.majority(), 2);
     }
 

@@ -14,8 +14,9 @@
 //!   [`abcast::FdAbcast`] and [`abcast::FdNode`] instantiated with the
 //!   [`Ring`] strategy, so `rbcast` data dissemination, the sequence
 //!   of Chandra–Toueg ♦S [`consensus`] instances with the
-//!   coordinator-renumbering optimisation, the stall probe and the
-//!   node shell are the FD algorithm's own code. This crate holds
+//!   coordinator-renumbering optimisation and the stall probe are the
+//!   FD algorithm's own code, and the process shell is [`abcast::Node`],
+//!   the one shell FD and GM run in too. This crate holds
 //!   only what differs: the [`IdBatch`] value, the wire format, and
 //!   the payload repair. In suspicion-free runs the message *pattern*
 //!   is therefore identical to the FD algorithm — the simulator's

@@ -3,7 +3,7 @@
 //! ([`Bodies`]) and the ring's ids-only values ([`Ring`]) — plus the
 //! ring-only payload-repair tests.
 
-use abcast::{Bodies, CastAction, CastMsg, FdAbcast, MsgId, Strategy};
+use abcast::{Bodies, CastAction, CastMsg, FdAbcast, Machine, MsgId, Strategy};
 use consensus::ConsensusMsg;
 use fdet::SuspectSet;
 use neko::{FdEvent, Pid};
@@ -74,6 +74,7 @@ fn route<M: Clone>(
                 }
             }
             CastAction::Deliver { id, payload } => delivered[from].push((id, payload)),
+            CastAction::Group(_) | CastAction::Retry(_) => {}
         }
     }
 }

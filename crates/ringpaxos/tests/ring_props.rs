@@ -12,7 +12,7 @@
 //!    forwards, no gap, no reordering — even when every repair
 //!    message is adversarially duplicated on the wire.
 
-use abcast::MsgId;
+use abcast::{Machine, MsgId};
 use fdet::SuspectSet;
 use neko::{FdEvent, Pid};
 use proptest::prelude::*;
@@ -87,6 +87,7 @@ fn route(
                 }
             }
             RingAction::Deliver { id, payload } => logs[from].push((id, payload)),
+            RingAction::Group(_) | RingAction::Retry(_) => {}
         }
     }
 }
@@ -264,7 +265,7 @@ fn failover_case(n: usize, seed: u64) {
         }
         for (i, node) in nodes.iter_mut().enumerate() {
             let mut out = Vec::new();
-            node.stall_probe(&mut out);
+            node.probe(&mut out);
             route(i, out, n, true, &mut queue, &mut logs);
         }
         drain(&mut nodes, &mut queue, true, &mut logs);
