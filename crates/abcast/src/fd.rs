@@ -47,8 +47,8 @@ pub struct Batch<P> {
 /// The reduction's own wire messages, over consensus values `V`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CastMsg<P, V> {
-    /// Reliable broadcast of a payload.
-    Data(RbMsg<(MsgId, P)>),
+    /// Reliable broadcast of a payload; its rb id is the message id.
+    Data(RbMsg<P>),
     /// Consensus traffic of instance `k`.
     Cons {
         /// The instance number.
@@ -127,7 +127,7 @@ pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
     fn deliveries(&mut self, value: Self::Value, pending: &mut Pending<P>) -> Vec<(MsgId, P)>;
     /// Ids of `value` whose bodies are neither pending nor delivered:
     /// its delivery waits until they arrive.
-    fn missing(_value: &Self::Value, _: &Pending<P>, _: &WatermarkSet<MsgId>) -> Vec<MsgId> {
+    fn missing(_value: &Self::Value, _: &Pending<P>, _: &WatermarkSet) -> Vec<MsgId> {
         Vec::new()
     }
     /// A payload body arrived by reliable broadcast (the FD self-check
@@ -155,7 +155,7 @@ pub trait Strategy<P: Payload>: Default + fmt::Debug + 'static {
 }
 
 /// Received, not yet delivered payloads, in id order.
-pub type Pending<P> = WindowMap<MsgId, P>;
+pub type Pending<P> = WindowMap<P>;
 
 /// The action buffer a strategy `S` writes to.
 pub type Actions<S, P> = Vec<CastAction<<S as Strategy<P>>::Msg, P>>;
@@ -246,9 +246,9 @@ pub struct FdAbcast<P: Payload, S: Strategy<P> = Bodies> {
     n: usize,
     renumbering: bool,
     strategy: S,
-    rb: ReliableBcast<(MsgId, P)>,
+    rb: ReliableBcast<P>,
     pending: Pending<P>,
-    delivered: WatermarkSet<MsgId>,
+    delivered: WatermarkSet,
     delivered_log: Vec<MsgId>,
     /// Next instance to decide (all below are decided).
     k: u64,
@@ -262,7 +262,7 @@ pub struct FdAbcast<P: Payload, S: Strategy<P> = Bodies> {
     /// Reused action buffers for the inner rbcast/consensus machines.
     /// Always empty between calls; kept only for their capacity (the
     /// handlers otherwise allocate a fresh vector per wire message).
-    rb_scratch: Vec<RbAction<(MsgId, P)>>,
+    rb_scratch: Vec<RbAction<P>>,
     cons_scratch: Vec<ConsensusAction<S::Value>>,
 }
 
@@ -332,17 +332,10 @@ impl<P: Payload, S: Strategy<P>> Machine for FdAbcast<P, S> {
 
     /// `A-broadcast(payload)`; returns the new message's id.
     fn broadcast(&mut self, payload: P, out: &mut Actions<S, P>) -> MsgId {
-        // One reliable broadcast per A-broadcast; the rb id doubles as
-        // the message id, and is embedded in the payload so receivers
-        // (and consensus batches) carry it around.
-        let bid = self.rb.next_id();
-        let id = MsgId {
-            origin: bid.origin,
-            seq: bid.seq,
-        };
+        // One reliable broadcast per A-broadcast; the rb id is the
+        // message id.
         let mut rb_out = std::mem::take(&mut self.rb_scratch);
-        let assigned = self.rb.broadcast((id, payload), &mut rb_out);
-        debug_assert_eq!(assigned, bid);
+        let id = self.rb.broadcast(payload, &mut rb_out);
         self.map_rb(&mut rb_out, out);
         self.rb_scratch = rb_out;
         id
@@ -485,12 +478,10 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
         true
     }
 
-    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<(MsgId, P)>>, out: &mut Actions<S, P>) {
+    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<P>>, out: &mut Actions<S, P>) {
         for a in rb_out.drain(..) {
             match a {
-                RbAction::Deliver {
-                    payload: (id, p), ..
-                } => {
+                RbAction::Deliver { id, payload: p } => {
                     if !self.delivered.contains(id) {
                         self.strategy.on_body(id);
                         self.pending.insert(id, p);
@@ -585,10 +576,7 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
                 if self.delivered.insert(id) {
                     self.pending.remove(id);
                     self.delivered_log.push(id);
-                    self.rb.forget(rbcast::BcastId {
-                        origin: id.origin,
-                        seq: id.seq,
-                    });
+                    self.rb.forget(id);
                     out.push(CastAction::Deliver { id, payload: p });
                 }
             }
@@ -622,8 +610,6 @@ impl<P: Payload, S: Strategy<P>> FdAbcast<P, S> {
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
-
-    use rbcast::BcastId;
 
     use super::*;
 
@@ -669,15 +655,11 @@ mod tests {
         drive(&mut nodes, &mut queue);
         // Far-future sequence numbers of p2 reach every process: one
         // `Data`, then a relay-style `Batch` that repeats it.
-        let data = |seq| {
-            let id = MsgId { origin: p1, seq };
-            let bid = BcastId { origin: p1, seq };
-            (bid, (id, seq as u32))
-        };
-        let (bid, payload) = data(u64::MAX);
+        let data = |seq| (MsgId { origin: p1, seq }, seq as u32);
+        let (id, payload) = data(u64::MAX);
         let msgs = vec![data(u64::MAX - 1), data(1 << 40), data(u64::MAX)];
         for to in Pid::all(n) {
-            let single = RbMsg::Data { id: bid, payload };
+            let single = RbMsg::Data { id, payload };
             queue.push_back((p1, to, CastMsg::Data(single)));
             let batch = RbMsg::Batch { msgs: msgs.clone() };
             queue.push_back((p1, to, CastMsg::Data(batch)));

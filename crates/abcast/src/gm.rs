@@ -104,7 +104,7 @@ impl<P: Payload> Bundle<P> {
 }
 
 /// The per-view store: payload and assigned sn, if any, per message.
-type Store<P> = WindowMap<MsgId, (Option<u64>, P)>;
+type Store<P> = WindowMap<(Option<u64>, P)>;
 
 /// Messages held back, per view, until that view is installed.
 type Buffered<M> = BTreeMap<ViewId, Vec<(Pid, M)>>;
@@ -272,14 +272,14 @@ pub struct GmAbcast<P: Payload> {
     store: Store<P>,
     /// Sns whose `Seq` arrived before the message's `Data` (the store
     /// holds the sn of every message it has).
-    assigned: WindowMap<MsgId, u64>,
+    assigned: WindowMap<u64>,
     by_sn: SeqWindow<MsgId>,
     /// Ack bitmaps per sequence number: only membership and a count
     /// are ever needed, so a [`DestSet`] replaces a tree of pids.
     acks: SeqWindow<DestSet>,
     deliverable: SeqWindow<()>,
     /// Sequencer: messages with `Data` received but no `sn` yet.
-    unsequenced: WindowMap<MsgId, ()>,
+    unsequenced: WindowMap<()>,
     /// Sequencer: the first sn past the currently outstanding batch
     /// (`None` when no batch is in flight).
     batch_end: Option<u64>,
@@ -292,7 +292,7 @@ pub struct GmAbcast<P: Payload> {
     /// Non-uniform receiver: last cumulative ack sent.
     acked_up_to: u64,
     // ---- cross-view state ----
-    delivered_ids: WatermarkSet<MsgId>,
+    delivered_ids: WatermarkSet,
     delivered_log: Vec<(MsgId, P)>,
     next_local_seq: u64,
     unsent: Vec<(MsgId, P)>,

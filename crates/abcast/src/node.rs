@@ -253,20 +253,14 @@ mod tests {
 
     #[test]
     fn fd_messages_never_merge() {
-        use rbcast::{BcastId, RbMsg};
+        use rbcast::RbMsg;
         let mk = || {
             FdCastMsg::Data(RbMsg::Data {
-                id: BcastId {
+                id: MsgId {
                     origin: Pid::new(0),
                     seq: 0,
                 },
-                payload: (
-                    MsgId {
-                        origin: Pid::new(0),
-                        seq: 0,
-                    },
-                    7u32,
-                ),
+                payload: 7u32,
             })
         };
         let mut a = mk();

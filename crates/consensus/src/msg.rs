@@ -103,7 +103,7 @@ mod tests {
         };
         assert_eq!(m.round(), Some(2));
         let m: ConsensusMsg<u32> = ConsensusMsg::Decide(RbMsg::Data {
-            id: rbcast::BcastId {
+            id: rbcast::MsgId {
                 origin: Pid::new(0),
                 seq: 0,
             },

@@ -1,11 +1,10 @@
-//! Dense bookkeeping for ids of the form `(origin, per-origin sequence
-//! number)`.
+//! Dense bookkeeping for [`MsgId`]s.
 //!
-//! Every broadcast in the stack is named by its origin and a sequence
-//! number the origin assigns densely from 0, and GM's sequencer numbers
-//! messages densely within a view. Sets and maps over such keys are
-//! therefore kept as arrays indexed by sequence number rather than as
-//! search trees:
+//! Every broadcast in the stack is named by a [`MsgId`]: its origin and
+//! a sequence number the origin assigns densely from 0. GM's sequencer
+//! numbers messages densely within a view. Sets and maps over such
+//! keys are therefore kept as arrays indexed by sequence number rather
+//! than as search trees:
 //!
 //! * [`WatermarkSet`] — a delivered set that never shrinks: per origin,
 //!   a watermark below which every sequence number is in the set, plus
@@ -14,7 +13,7 @@
 //!   spanning the keys currently present, plus a sparse overflow for
 //!   keys far outside it.
 //! * [`WindowMap`] — one [`SeqWindow`] per origin; iterates in
-//!   `(origin, seq)` order, the order of the id types' `Ord`.
+//!   `(origin, seq)` order, the order of [`MsgId`]'s `Ord`.
 //!
 //! Sequence numbers come off the wire, so no key may force an
 //! allocation proportional to its value: a key more than [`SLACK`]
@@ -22,27 +21,16 @@
 //! and a watermark only advances over sequence numbers inserted.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::marker::PhantomData;
 use std::ops::Bound;
 
 use neko::Pid;
+
+use crate::MsgId;
 
 /// How far past either end of a [`SeqWindow`] a key may land and still
 /// extend the window; keys farther away go to the sparse overflow. It
 /// bounds the slots one insertion can allocate.
 pub const SLACK: u64 = 256;
-
-/// An id made of an origin and a per-origin sequence number. The
-/// type's `Ord`, if any, must order by origin, then sequence number:
-/// the structures of this module iterate in that order.
-pub trait SeqId: Copy {
-    /// The process that assigned the sequence number.
-    fn origin(self) -> Pid;
-    /// The origin-local sequence number.
-    fn seq(self) -> u64;
-    /// The id of `seq` at `origin`.
-    fn from_parts(origin: Pid, seq: u64) -> Self;
-}
 
 /// Per-origin entries, sorted by origin. A single origin, the usual
 /// case of a consensus instance's decision broadcast, is kept inline.
@@ -164,51 +152,49 @@ impl Watermark {
     }
 }
 
-/// A set of ids that only grows: per origin, a watermark below which
-/// every sequence number is a member, plus the members above it.
+/// A set of [`MsgId`]s that only grows: per origin, a watermark below
+/// which every sequence number is a member, plus the members above it.
 ///
 /// Membership tests and in-order insertions cost a lookup of the
 /// origin and a comparison; the set's size is the number of members
 /// above their origin's watermark, not the number of members.
 #[derive(Clone, Debug)]
-pub struct WatermarkSet<K> {
+pub struct WatermarkSet {
     origins: Origins<Watermark>,
-    _key: PhantomData<fn() -> K>,
 }
 
-impl<K: SeqId> Default for WatermarkSet<K> {
+impl Default for WatermarkSet {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: SeqId> WatermarkSet<K> {
+impl WatermarkSet {
     /// The empty set.
     pub const fn new() -> Self {
         WatermarkSet {
             origins: Origins::new(),
-            _key: PhantomData,
         }
     }
 
     /// Adds `id`; returns whether it was not yet a member.
-    pub fn insert(&mut self, id: K) -> bool {
-        match self.origins.get_mut(id.origin()) {
-            Ok(mark) => mark.insert(id.seq()),
+    pub fn insert(&mut self, id: MsgId) -> bool {
+        match self.origins.get_mut(id.origin) {
+            Ok(mark) => mark.insert(id.seq),
             Err(i) => {
                 let mut mark = Watermark::default();
-                mark.insert(id.seq());
-                self.origins.insert(i, id.origin(), mark);
+                mark.insert(id.seq);
+                self.origins.insert(i, id.origin, mark);
                 true
             }
         }
     }
 
     /// Whether `id` is a member.
-    pub fn contains(&self, id: K) -> bool {
+    pub fn contains(&self, id: MsgId) -> bool {
         self.origins
-            .get(id.origin())
-            .is_some_and(|mark| mark.contains(id.seq()))
+            .get(id.origin)
+            .is_some_and(|mark| mark.contains(id.seq))
     }
 
     /// The first sequence number of `origin` that is not a member:
@@ -435,28 +421,26 @@ impl<V> SeqWindow<V> {
     }
 }
 
-/// A map over ids, kept as one [`SeqWindow`] per origin. Iterates in
-/// `(origin, seq)` order.
+/// A map over [`MsgId`]s, kept as one [`SeqWindow`] per origin.
+/// Iterates in `(origin, seq)` order.
 #[derive(Clone, Debug)]
-pub struct WindowMap<K, V> {
+pub struct WindowMap<V> {
     origins: Origins<SeqWindow<V>>,
     len: usize,
-    _key: PhantomData<fn() -> K>,
 }
 
-impl<K: SeqId, V> Default for WindowMap<K, V> {
+impl<V> Default for WindowMap<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: SeqId, V> WindowMap<K, V> {
+impl<V> WindowMap<V> {
     /// The empty map.
     pub const fn new() -> Self {
         WindowMap {
             origins: Origins::new(),
             len: 0,
-            _key: PhantomData,
         }
     }
 
@@ -476,28 +460,28 @@ impl<K: SeqId, V> WindowMap<K, V> {
     }
 
     /// The entry of `id`.
-    pub fn get(&self, id: K) -> Option<&V> {
-        self.origins.get(id.origin())?.get(id.seq())
+    pub fn get(&self, id: MsgId) -> Option<&V> {
+        self.origins.get(id.origin)?.get(id.seq)
     }
 
     /// The entry of `id`, mutably.
-    pub fn get_mut(&mut self, id: K) -> Option<&mut V> {
-        self.origins.get_mut(id.origin()).ok()?.get_mut(id.seq())
+    pub fn get_mut(&mut self, id: MsgId) -> Option<&mut V> {
+        self.origins.get_mut(id.origin).ok()?.get_mut(id.seq)
     }
 
     /// Whether `id` has an entry.
-    pub fn contains_key(&self, id: K) -> bool {
+    pub fn contains_key(&self, id: MsgId) -> bool {
         self.get(id).is_some()
     }
 
     /// Sets the entry of `id`; returns the one it replaces.
-    pub fn insert(&mut self, id: K, value: V) -> Option<V> {
-        let old = match self.origins.get_mut(id.origin()) {
-            Ok(window) => window.insert(id.seq(), value),
+    pub fn insert(&mut self, id: MsgId, value: V) -> Option<V> {
+        let old = match self.origins.get_mut(id.origin) {
+            Ok(window) => window.insert(id.seq, value),
             Err(i) => {
                 let mut window = SeqWindow::new();
-                window.insert(id.seq(), value);
-                self.origins.insert(i, id.origin(), window);
+                window.insert(id.seq, value);
+                self.origins.insert(i, id.origin, window);
                 None
             }
         };
@@ -508,8 +492,8 @@ impl<K: SeqId, V> WindowMap<K, V> {
     }
 
     /// Removes the entry of `id`.
-    pub fn remove(&mut self, id: K) -> Option<V> {
-        let old = self.origins.get_mut(id.origin()).ok()?.remove(id.seq());
+    pub fn remove(&mut self, id: MsgId) -> Option<V> {
+        let old = self.origins.get_mut(id.origin).ok()?.remove(id.seq);
         if old.is_some() {
             self.len -= 1;
         }
@@ -523,31 +507,31 @@ impl<K: SeqId, V> WindowMap<K, V> {
     }
 
     /// The entries in `(origin, seq)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + Clone {
+    pub fn iter(&self) -> impl Iterator<Item = (MsgId, &V)> + Clone {
         self.origins
             .iter()
             .filter(|(_, window)| !window.is_empty())
             .flat_map(|(origin, window)| {
                 window
                     .iter()
-                    .map(move |(seq, v)| (K::from_parts(origin, seq), v))
+                    .map(move |(seq, v)| (MsgId { origin, seq }, v))
             })
     }
 
     /// The ids in `(origin, seq)` order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + Clone + '_ {
+    pub fn keys(&self) -> impl Iterator<Item = MsgId> + Clone + '_ {
         self.iter().map(|(id, _)| id)
     }
 
     /// The entries of one origin, in `seq` order.
-    pub fn iter_origin(&self, origin: Pid) -> impl Iterator<Item = (K, &V)> + Clone {
+    pub fn iter_origin(&self, origin: Pid) -> impl Iterator<Item = (MsgId, &V)> + Clone {
         self.origins
             .get(origin)
             .into_iter()
             .flat_map(move |window| {
                 window
                     .iter()
-                    .map(move |(seq, v)| (K::from_parts(origin, seq), v))
+                    .map(move |(seq, v)| (MsgId { origin, seq }, v))
             })
     }
 }

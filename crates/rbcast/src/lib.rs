@@ -23,6 +23,11 @@
 //! per-origin structures of [`dense`], which the layers above reuse for
 //! their own id bookkeeping.
 //!
+//! A broadcast is named by a [`MsgId`], the one message id type of the
+//! stack. The atomic broadcast layers R-broadcast bare payloads: the id
+//! [`RbAction::Deliver`] hands up is their message id, so no payload
+//! carries its id a second time.
+//!
 //! ```
 //! use neko::Pid;
 //! use rbcast::{RbAction, ReliableBcast};
@@ -47,35 +52,25 @@ use neko::Pid;
 
 pub mod dense;
 
-pub use dense::{SeqId, SeqWindow, WatermarkSet, WindowMap};
+pub use dense::{SeqWindow, WatermarkSet, WindowMap};
 
-/// Globally unique identifier of one reliable broadcast:
-/// `(origin, per-origin sequence number)`.
+/// Globally unique identity of one broadcast: `(origin, per-origin
+/// sequence number)`. The stack has this one id type: an A-broadcast
+/// is named by its reliable broadcast, and the deterministic delivery
+/// order inside a decided batch ("according to the order of their
+/// IDs", paper Section 4.1) is this type's `Ord`, origin first, then
+/// sequence number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BcastId {
+pub struct MsgId {
     /// The process that initiated the broadcast.
     pub origin: Pid,
     /// The origin-local sequence number.
     pub seq: u64,
 }
 
-impl SeqId for BcastId {
-    fn origin(self) -> Pid {
-        self.origin
-    }
-
-    fn seq(self) -> u64 {
-        self.seq
-    }
-
-    fn from_parts(origin: Pid, seq: u64) -> Self {
-        BcastId { origin, seq }
-    }
-}
-
-impl fmt::Display for BcastId {
+impl fmt::Display for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.origin, self.seq)
+        write!(f, "{}:{}", self.origin, self.seq)
     }
 }
 
@@ -86,7 +81,7 @@ pub enum RbMsg<M> {
     /// names the original sender even when relayed).
     Data {
         /// Broadcast identity.
-        id: BcastId,
+        id: MsgId,
         /// The application payload.
         payload: M,
     },
@@ -96,7 +91,7 @@ pub enum RbMsg<M> {
     /// service's flush bundles).
     Batch {
         /// The relayed `(identity, payload)` pairs.
-        msgs: Vec<(BcastId, M)>,
+        msgs: Vec<(MsgId, M)>,
     },
 }
 
@@ -110,7 +105,7 @@ pub enum RbAction<M> {
     /// Hand the payload to the layer above (R-deliver).
     Deliver {
         /// Broadcast identity.
-        id: BcastId,
+        id: MsgId,
         /// The application payload.
         payload: M,
     },
@@ -127,9 +122,9 @@ pub enum RbAction<M> {
 pub struct ReliableBcast<M> {
     me: Pid,
     next_seq: u64,
-    store: WindowMap<BcastId, M>,
-    delivered: WatermarkSet<BcastId>,
-    relayed: BTreeSet<BcastId>,
+    store: WindowMap<M>,
+    delivered: WatermarkSet,
+    relayed: BTreeSet<MsgId>,
 }
 
 impl<M: Clone + fmt::Debug> ReliableBcast<M> {
@@ -144,20 +139,10 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
         }
     }
 
-    /// The identity the *next* call to [`broadcast`](Self::broadcast)
-    /// will use — callers that embed the identity inside the payload
-    /// need it up front.
-    pub fn next_id(&self) -> BcastId {
-        BcastId {
-            origin: self.me,
-            seq: self.next_seq,
-        }
-    }
-
     /// R-broadcasts `payload`: one multicast plus an immediate local
     /// delivery. Returns the broadcast's identity.
-    pub fn broadcast(&mut self, payload: M, out: &mut Vec<RbAction<M>>) -> BcastId {
-        let id = BcastId {
+    pub fn broadcast(&mut self, payload: M, out: &mut Vec<RbAction<M>>) -> MsgId {
+        let id = MsgId {
             origin: self.me,
             seq: self.next_seq,
         };
@@ -229,7 +214,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
         if p == self.me {
             return;
         }
-        let to_relay: Vec<(BcastId, M)> = self
+        let to_relay: Vec<(MsgId, M)> = self
             .store
             .iter_origin(p)
             .filter(|(id, _)| !self.relayed.contains(id))
@@ -243,7 +228,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
 
     /// Emits relayed messages as one wire message (a `Data` for a
     /// single payload, a `Batch` otherwise).
-    fn push_relay(&self, mut to_relay: Vec<(BcastId, M)>, out: &mut Vec<RbAction<M>>) {
+    fn push_relay(&self, mut to_relay: Vec<(MsgId, M)>, out: &mut Vec<RbAction<M>>) {
         match to_relay.len() {
             0 => {}
             1 => {
@@ -256,13 +241,13 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
 
     /// Drops the retained copy of `id` (the layer above knows it is
     /// stable). Delivery deduplication is unaffected.
-    pub fn forget(&mut self, id: BcastId) {
+    pub fn forget(&mut self, id: MsgId) {
         self.store.remove(id);
     }
 
     /// Returns a retransmittable copy of a retained message, if any
     /// (used to help processes that are behind).
-    pub fn message_for(&self, id: BcastId) -> Option<RbMsg<M>> {
+    pub fn message_for(&self, id: MsgId) -> Option<RbMsg<M>> {
         self.store.get(id).map(|payload| RbMsg::Data {
             id,
             payload: payload.clone(),
@@ -270,7 +255,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
     }
 
     /// Whether `id` has been delivered locally.
-    pub fn has_delivered(&self, id: BcastId) -> bool {
+    pub fn has_delivered(&self, id: MsgId) -> bool {
         self.delivered.contains(id)
     }
 
@@ -287,6 +272,24 @@ mod tests {
 
     fn no_suspects() -> SuspectSet {
         SuspectSet::new()
+    }
+
+    #[test]
+    fn msg_id_orders_by_origin_then_seq() {
+        let a = MsgId {
+            origin: Pid::new(0),
+            seq: 9,
+        };
+        let b = MsgId {
+            origin: Pid::new(1),
+            seq: 0,
+        };
+        let c = MsgId {
+            origin: Pid::new(1),
+            seq: 1,
+        };
+        assert!(a < b && b < c);
+        assert_eq!(b.to_string(), "p2:0");
     }
 
     #[test]
@@ -314,7 +317,7 @@ mod tests {
         );
     }
 
-    fn data_of<M: Clone + fmt::Debug>(actions: &[RbAction<M>]) -> Vec<BcastId> {
+    fn data_of<M: Clone + fmt::Debug>(actions: &[RbAction<M>]) -> Vec<MsgId> {
         actions
             .iter()
             .filter_map(|a| match a {
@@ -355,7 +358,7 @@ mod tests {
         let p0 = Pid::new(0);
         let mut b = ReliableBcast::new(Pid::new(1));
         let mut out = Vec::new();
-        let id = BcastId { origin: p0, seq: 0 };
+        let id = MsgId { origin: p0, seq: 0 };
         b.on_message(
             p0,
             RbMsg::Data { id, payload: 5u64 },
@@ -378,7 +381,7 @@ mod tests {
         let mut suspects = SuspectSet::new();
         suspects.apply(FdEvent::Suspect(p0));
         let mut out = Vec::new();
-        let id = BcastId { origin: p0, seq: 3 };
+        let id = MsgId { origin: p0, seq: 3 };
         b.on_message(p0, RbMsg::Data { id, payload: 9u64 }, &suspects, &mut out);
         assert!(matches!(&out[0], RbAction::Deliver { .. }));
         assert!(matches!(&out[1], RbAction::Multicast(_)));
@@ -393,7 +396,7 @@ mod tests {
         let p0 = Pid::new(0);
         let mut b = ReliableBcast::new(Pid::new(1));
         let mut out = Vec::new();
-        let id = BcastId { origin: p0, seq: 0 };
+        let id = MsgId { origin: p0, seq: 0 };
         b.on_message(
             p0,
             RbMsg::Data { id, payload: 5u64 },
@@ -423,7 +426,7 @@ mod tests {
                 b.on_message(
                     origin,
                     RbMsg::Data {
-                        id: BcastId { origin, seq },
+                        id: MsgId { origin, seq },
                         payload: seq,
                     },
                     &no_suspects(),
@@ -475,7 +478,7 @@ mod tests {
         let p0 = Pid::new(0);
         let mut b = ReliableBcast::new(Pid::new(1));
         let mut out = Vec::new();
-        let id = |seq| BcastId { origin: p0, seq };
+        let id = |seq| MsgId { origin: p0, seq };
         for seq in 0..3 {
             let msg = RbMsg::Data {
                 id: id(seq),
@@ -535,7 +538,7 @@ mod tests {
             out: Vec<RbAction<u64>>,
             n: usize,
             in_flight: &mut Vec<(usize, RbMsg<u64>)>,
-            delivered: &mut [Vec<BcastId>],
+            delivered: &mut [Vec<MsgId>],
         ) {
             for a in out {
                 match a {
@@ -563,7 +566,7 @@ mod tests {
             let origin = Pid::new(0);
             let mut procs: Vec<ReliableBcast<u64>> =
                 (0..n).map(|i| ReliableBcast::new(Pid::new(i))).collect();
-            let mut delivered: Vec<Vec<BcastId>> = vec![Vec::new(); n];
+            let mut delivered: Vec<Vec<MsgId>> = vec![Vec::new(); n];
             let mut suspects: Vec<SuspectSet> = vec![SuspectSet::new(); n];
 
             // Origin broadcasts but the multicast reaches only one

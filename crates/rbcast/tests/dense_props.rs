@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use neko::Pid;
 use proptest::prelude::*;
 use rbcast::dense::SLACK;
-use rbcast::{BcastId, SeqWindow, WatermarkSet, WindowMap};
+use rbcast::{MsgId, SeqWindow, WatermarkSet, WindowMap};
 
 /// A deterministic splitmix64 stream — the vendored proptest has no
 /// recursive strategies, so op sequences derive from one drawn seed.
@@ -54,8 +54,8 @@ fn draw_origin(state: &mut u64) -> usize {
     (mix(state) % ORIGINS.len() as u64) as usize
 }
 
-fn id(origin: usize, seq: u64) -> BcastId {
-    BcastId {
+fn id(origin: usize, seq: u64) -> MsgId {
+    MsgId {
         origin: Pid::new(ORIGINS.get(origin).copied().unwrap_or_default()),
         seq,
     }
@@ -68,7 +68,7 @@ proptest! {
     fn watermark_set_agrees_with_btreeset(seed in any::<u64>(), ops in 1usize..400) {
         let mut state = seed;
         let mut frontiers = [0u64; ORIGINS.len()];
-        let mut set = WatermarkSet::<BcastId>::new();
+        let mut set = WatermarkSet::new();
         let mut model = BTreeSet::new();
         for _ in 0..ops {
             let o = draw_origin(&mut state);
@@ -139,7 +139,7 @@ proptest! {
     fn window_map_agrees_with_btreemap(seed in any::<u64>(), ops in 1usize..600) {
         let mut state = seed;
         let mut frontiers = [0u64; ORIGINS.len()];
-        let mut map = WindowMap::<BcastId, u64>::new();
+        let mut map = WindowMap::<u64>::new();
         let mut model = BTreeMap::new();
         for step in 0..ops as u64 {
             let o = draw_origin(&mut state);

@@ -29,8 +29,8 @@ pub struct IdBatch {
 /// Wire messages of the ring algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RingMsg<P> {
-    /// Reliable broadcast of a payload.
-    Data(RbMsg<(MsgId, P)>),
+    /// Reliable broadcast of a payload; its rb id is the message id.
+    Data(RbMsg<P>),
     /// Consensus traffic of instance `k` (ids only).
     Cons {
         /// The instance number.
@@ -144,11 +144,7 @@ impl<P: Payload> Strategy<P> for Ring<P> {
         value.proposer
     }
 
-    fn missing(
-        value: &IdBatch,
-        pending: &Pending<P>,
-        delivered: &WatermarkSet<MsgId>,
-    ) -> Vec<MsgId> {
+    fn missing(value: &IdBatch, pending: &Pending<P>, delivered: &WatermarkSet) -> Vec<MsgId> {
         value
             .ids
             .iter()
