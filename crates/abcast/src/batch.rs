@@ -203,11 +203,6 @@ impl<P: Payload, N> Batched<P, N> {
     pub fn inner(&self) -> &N {
         &self.inner
     }
-
-    /// Payloads buffered but not yet shipped in a pack.
-    pub fn buffered(&self) -> usize {
-        self.batcher.len()
-    }
 }
 
 impl<P, N> Batched<P, N>

@@ -265,16 +265,6 @@ impl<V: Value> Consensus<V> {
         }
     }
 
-    /// The other participants, in rotation order (the destination set
-    /// of [`ConsensusAction::Multicast`]).
-    pub fn peers(&self) -> Vec<Pid> {
-        self.order
-            .iter()
-            .copied()
-            .filter(|&p| p != self.me)
-            .collect()
-    }
-
     /// Proposes this process's initial value. Later calls are ignored
     /// (consensus decides once).
     pub fn propose(&mut self, v: V, out: &mut Vec<ConsensusAction<V>>) {
