@@ -35,17 +35,14 @@
 //! the cursor past it, so a caller that stops at `until` can keep
 //! inserting events at any `at ≥ until` afterwards.
 //!
-//! Cancellation ([`TimingWheel::cancel`]) is lazy — a tombstone by
-//! insertion seq, dropped when the event surfaces. The kernel keeps
-//! its own timer tombstones (cancelled timers still count as
-//! processed events, which golden executions pin); the wheel-level
-//! cancel exists for direct users and the differential tests. The
-//! tombstone set is a `BTreeSet`: it is only ever probed by key, but
-//! a deterministic structure keeps the queue free of hash-order state
-//! by construction (clippy.toml rule D1) rather than by argument.
+//! The wheel has no cancellation: every inserted event surfaces. The
+//! kernel cancels timers with its own tombstones (`cancelled_timers`,
+//! a `BTreeSet` of timer ids): a cancelled timer still surfaces from
+//! the queue and counts as a processed event, which golden executions
+//! pin, and is then dropped instead of reaching its process.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Bits consumed per level; each slot array is `2^SLOT_BITS` wide.
 const SLOT_BITS: u32 = 6;
@@ -109,9 +106,7 @@ pub struct TimingWheel<T> {
     /// Events due exactly at `cursor`, sorted ascending by
     /// `(tie, seq)` and popped from the front.
     due: VecDeque<Due<T>>,
-    /// Lazily-cancelled insertion seqs.
-    cancelled: BTreeSet<u64>,
-    /// Live entries (cancelled ones count until they surface).
+    /// Pending entries.
     len: usize,
     /// High-water mark of `len`.
     peak: usize,
@@ -125,13 +120,12 @@ impl<T> TimingWheel<T> {
             occupancy: [0; LEVELS],
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             due: VecDeque::new(),
-            cancelled: BTreeSet::new(),
             len: 0,
             peak: 0,
         }
     }
 
-    /// Pending entries, including not-yet-surfaced cancelled ones.
+    /// Pending entries.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -163,12 +157,6 @@ impl<T> TimingWheel<T> {
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.place(Entry { at, tie, seq, item });
-    }
-
-    /// Lazily cancels the entry inserted with `seq` (must currently be
-    /// pending). The slot is reclaimed when the entry surfaces.
-    pub fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
     }
 
     /// Files an entry into the due batch (at the cursor instant) or
@@ -214,11 +202,8 @@ impl<T> TimingWheel<T> {
         loop {
             // Everything at the cursor instant sits in `due`, already
             // in (tie, seq) order.
-            while let Some(e) = self.due.pop_front() {
+            if let Some(e) = self.due.pop_front() {
                 self.len -= 1;
-                if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                    continue;
-                }
                 return Some(Entry {
                     at: self.cursor,
                     tie: e.tie,
@@ -246,23 +231,14 @@ impl<T> TimingWheel<T> {
                     // instant returns without touching the due batch.
                     let e = self.slots[idx].pop().expect("occupied slot was empty");
                     self.len -= 1;
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                        continue;
-                    }
                     return Some(e);
                 }
                 let mut batch = std::mem::take(&mut self.slots[idx]);
-                for e in batch.drain(..) {
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                        self.len -= 1;
-                        continue;
-                    }
-                    self.due.push_back(Due {
-                        tie: e.tie,
-                        seq: e.seq,
-                        item: e.item,
-                    });
-                }
+                self.due.extend(batch.drain(..).map(|e| Due {
+                    tie: e.tie,
+                    seq: e.seq,
+                    item: e.item,
+                }));
                 self.slots[idx] = batch;
                 // One linear-ish sort per same-instant batch replaces
                 // per-event heap sifts (and is a no-op scan under
@@ -274,18 +250,10 @@ impl<T> TimingWheel<T> {
                 // Singleton upper-level slot: re-file the lone entry
                 // without cycling the bucket through `mem::take`.
                 let e = self.slots[idx].pop().expect("occupied slot was empty");
-                if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                    self.len -= 1;
-                    continue;
-                }
                 self.place(e);
             } else {
                 let mut cascading = std::mem::take(&mut self.slots[idx]);
                 for e in cascading.drain(..) {
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                        self.len -= 1;
-                        continue;
-                    }
                     // Re-files strictly below `level` (or into `due`):
                     // the cursor now shares this slot's high bits.
                     self.place(e);
@@ -304,14 +272,12 @@ impl<T> Default for TimingWheel<T> {
 }
 
 /// The ordering oracle: a binary heap over the same `(at, tie, seq)`
-/// key with the same `pop_due`/`cancel` semantics. The kernel ran on
+/// key with the same `pop_due` semantics. The kernel ran on
 /// this structure before the wheel; it stays public so differential
 /// tests can assert the wheel agrees with it event for event, and so
 /// benchmarks can measure the two on identical workloads.
 pub struct ReferenceHeap<T> {
     heap: BinaryHeap<RefEntry<T>>,
-    cancelled: BTreeSet<u64>,
-    len: usize,
 }
 
 /// Min-order by `(at, tie, seq)` under `std`'s max-heap.
@@ -340,45 +306,30 @@ impl<T> ReferenceHeap<T> {
     pub fn new() -> Self {
         ReferenceHeap {
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            len: 0,
         }
     }
 
-    /// Pending entries (cancelled ones count until they surface).
+    /// Pending entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `item` at `(at, tie, seq)`.
     pub fn insert(&mut self, at: u64, tie: u64, seq: u64, item: T) {
-        self.len += 1;
         self.heap.push(RefEntry(Entry { at, tie, seq, item }));
-    }
-
-    /// Lazily cancels the entry inserted with `seq`.
-    pub fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
     }
 
     /// Pops the minimal `(at, tie, seq)` entry with `at ≤ until`.
     pub fn pop_due(&mut self, until: u64) -> Option<Entry<T>> {
-        loop {
-            if self.heap.peek()?.0.at > until {
-                return None;
-            }
-            let e = self.heap.pop().expect("peeked entry vanished").0;
-            self.len -= 1;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            return Some(e);
+        if self.heap.peek()?.0.at > until {
+            return None;
         }
+        self.heap.pop().map(|e| e.0)
     }
 }
 
@@ -460,19 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_suppresses_and_reclaims() {
-        let mut w = TimingWheel::new();
-        w.insert(5, 0, 1, 0);
-        w.insert(5, 0, 2, 0);
-        w.insert(90_000, 0, 3, 0); // a different level entirely
-        w.cancel(1);
-        w.cancel(3);
-        assert_eq!(w.len(), 3);
-        assert_eq!(drain(&mut w, u64::MAX), vec![(5, 2)]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
     fn peak_tracks_the_high_water_mark() {
         let mut w = TimingWheel::new();
         for i in 0..10 {
@@ -516,10 +454,6 @@ mod tests {
             if seq % 3 == 0 {
                 let horizon = wheel.cursor() + mix() % 50_000;
                 assert_eq!(wheel.pop_due(horizon), heap.pop_due(horizon));
-            }
-            if seq % 7 == 0 {
-                wheel.cancel(seq);
-                heap.cancel(seq);
             }
         }
         loop {
