@@ -151,6 +151,29 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The down (`true`) and up (`false`) edges of a crash, a recovery
+    /// or a churn, as `(process, instant, down)`. A churn is a crash
+    /// plus a recovery `downtime` later.
+    fn edges(
+        &self,
+        resolve: impl Fn(ScriptTime) -> Time,
+    ) -> impl Iterator<Item = (Pid, Time, bool)> {
+        let edges = match *self {
+            FaultEvent::Crash { at, pid, .. } => [Some((pid, resolve(at), true)), None],
+            FaultEvent::Recover { at, pid, .. } => [Some((pid, resolve(at), false)), None],
+            FaultEvent::Churn {
+                at, pid, downtime, ..
+            } => {
+                let t = resolve(at);
+                [Some((pid, t, true)), Some((pid, t + downtime, false))]
+            }
+            FaultEvent::SuspicionBurst { .. } | FaultEvent::Partition { .. } => [None, None],
+        };
+        edges.into_iter().flatten()
+    }
+}
+
 /// A probe measurement: one marked broadcast whose latency is
 /// measured on its own (the paper's crash-transient methodology).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -377,23 +400,8 @@ impl FaultScript {
         // the crash (e.g. a partition that healed in the meantime)
         // poison the group forever.
         let mut updown: Vec<Vec<(Time, bool)>> = vec![Vec::new(); n];
-        for ev in &self.events {
-            match ev {
-                FaultEvent::Crash { at, pid, .. } => {
-                    updown[pid.index()].push((resolve(*at), true));
-                }
-                FaultEvent::Recover { at, pid, .. } => {
-                    updown[pid.index()].push((resolve(*at), false));
-                }
-                FaultEvent::Churn {
-                    at, pid, downtime, ..
-                } => {
-                    let t = resolve(*at);
-                    updown[pid.index()].push((t, true));
-                    updown[pid.index()].push((t + *downtime, false));
-                }
-                FaultEvent::SuspicionBurst { .. } | FaultEvent::Partition { .. } => {}
-            }
+        for (pid, t, down) in self.events.iter().flat_map(|ev| ev.edges(&resolve)) {
+            updown[pid.index()].push((t, down));
         }
         for tl in &mut updown {
             tl.sort();
@@ -431,19 +439,22 @@ impl FaultScript {
         let mut bursts = 0u64;
         for ev in &self.events {
             match ev {
-                FaultEvent::Crash { at, pid, detection } => {
-                    let t = resolve(*at);
-                    if t == Time::ZERO {
-                        continue; // ancient, handled above
-                    }
-                    entries.push((t, ScriptAction::Inject(Injection::Crash(*pid))));
-                    inject(&mut entries, crash_transient_plan(n, *pid, t, *detection));
+                FaultEvent::Crash { at, .. } if resolve(*at) == Time::ZERO => {
+                    // Ancient, handled above.
                 }
-                FaultEvent::Recover { at, pid, detection } => {
-                    let t = resolve(*at);
-                    entries.push((t, ScriptAction::Inject(Injection::Recover(*pid))));
-                    inject(&mut entries, recovery_plan(n, *pid, t, *detection));
-                    resync(&mut entries, *pid, t + *detection);
+                FaultEvent::Crash { detection, .. }
+                | FaultEvent::Recover { detection, .. }
+                | FaultEvent::Churn { detection, .. } => {
+                    for (pid, t, down) in ev.edges(&resolve) {
+                        if down {
+                            entries.push((t, ScriptAction::Inject(Injection::Crash(pid))));
+                            inject(&mut entries, crash_transient_plan(n, pid, t, *detection));
+                        } else {
+                            entries.push((t, ScriptAction::Inject(Injection::Recover(pid))));
+                            inject(&mut entries, recovery_plan(n, pid, t, *detection));
+                            resync(&mut entries, pid, t + *detection);
+                        }
+                    }
                 }
                 FaultEvent::SuspicionBurst {
                     from,
@@ -482,20 +493,6 @@ impl FaultScript {
                         entries.push((ht, ScriptAction::Inject(Injection::Heal)));
                         inject(&mut entries, partition_heal_plan(n, &part, ht, *detection));
                     }
-                }
-                FaultEvent::Churn {
-                    at,
-                    pid,
-                    downtime,
-                    detection,
-                } => {
-                    let t = resolve(*at);
-                    entries.push((t, ScriptAction::Inject(Injection::Crash(*pid))));
-                    inject(&mut entries, crash_transient_plan(n, *pid, t, *detection));
-                    let back = t + *downtime;
-                    entries.push((back, ScriptAction::Inject(Injection::Recover(*pid))));
-                    inject(&mut entries, recovery_plan(n, *pid, back, *detection));
-                    resync(&mut entries, *pid, back + *detection);
                 }
             }
         }
