@@ -267,23 +267,14 @@ impl Explorer {
         let mut rng = stream_rng(tseed, 0xEC5E);
         if let Some(large_n) = self.large_group {
             if index % 16 == 11 {
-                return self.large_tuple(alg, index, large_n, tseed, &mut rng);
+                return self.large_tuple(alg, large_n, tseed, &mut rng);
             }
         }
         let (lo, hi) = self.group_sizes;
         let n = lo + (rng.next_u64() as usize) % (hi - lo + 1);
         let minority = (n - 1) / 2;
         let topology = TOPOLOGIES[(rng.next_u64() as usize) % TOPOLOGIES.len()];
-        // One FIFO baseline in every eight tuples; the rest split
-        // between uniform tie permutation and PCT-style demotion.
-        let schedule = match index % 8 {
-            0 => Schedule::Fifo,
-            1..=5 => Schedule::SeededRandom(derive_seed(tseed, 1)),
-            _ => Schedule::Pct {
-                seed: derive_seed(tseed, 2),
-                change_period: 3 + (rng.next_u64() % 14) as u32,
-            },
-        };
+        let schedule = schedule(index as u64 % 8, tseed, &mut rng);
         let horizon_ms = self.horizon.as_micros() / 1_000;
         let mut script = FaultScript::default();
         if rng.next_u64().is_multiple_of(2) {
@@ -361,25 +352,12 @@ impl Explorer {
     /// and at most one crash — the class exists to push traffic
     /// through the multi-word destination masks under adversarial
     /// schedules, not to churn 64-member views.
-    fn large_tuple(
-        &self,
-        alg: Algorithm,
-        _index: usize,
-        n: usize,
-        tseed: u64,
-        rng: &mut impl RngCore,
-    ) -> Tuple {
-        // Drawn from the tuple's own stream rather than `index % 8`:
+    fn large_tuple(&self, alg: Algorithm, n: usize, tseed: u64, rng: &mut impl RngCore) -> Tuple {
+        // Picked from the tuple's own stream rather than `index % 8`:
         // large indices share a residue class mod 8, which would pin
         // the whole class to one policy.
-        let schedule = match rng.next_u64() % 8 {
-            0 => Schedule::Fifo,
-            1..=5 => Schedule::SeededRandom(derive_seed(tseed, 1)),
-            _ => Schedule::Pct {
-                seed: derive_seed(tseed, 2),
-                change_period: 3 + (rng.next_u64() % 14) as u32,
-            },
-        };
+        let pick = rng.next_u64() % 8;
+        let schedule = schedule(pick, tseed, rng);
         let horizon_ms = self.horizon.as_micros() / 1_000;
         let mut script = FaultScript::default();
         if rng.next_u64().is_multiple_of(2) {
@@ -722,6 +700,21 @@ fn expectations(
         sent,
         must_deliver,
         correct,
+    }
+}
+
+/// The schedule policy of residue `pick` (mod 8) for the tuple seeded
+/// `tseed`: one FIFO baseline in every eight; the rest split between
+/// uniform tie permutation and PCT-style demotion, whose change period
+/// is the next draw from `rng`.
+fn schedule(pick: u64, tseed: u64, rng: &mut impl RngCore) -> Schedule {
+    match pick {
+        0 => Schedule::Fifo,
+        1..=5 => Schedule::SeededRandom(derive_seed(tseed, 1)),
+        _ => Schedule::Pct {
+            seed: derive_seed(tseed, 2),
+            change_period: 3 + (rng.next_u64() % 14) as u32,
+        },
     }
 }
 
