@@ -780,4 +780,113 @@ mod tests {
             script.compile(3, W, end(), 10)
         );
     }
+
+    /// Everything `compile` produces, pinned by value over a corpus:
+    /// an FNV-1a digest of the `Debug` text of the entries, the
+    /// ancient crashes, the initially suspected pids and the
+    /// per-process down intervals. The corpus is the paper's scenario
+    /// constructors at n = 3 and 7, the beyond-the-paper constructors,
+    /// a churn, and the first 64 explorer tuples of four algorithms.
+    #[test]
+    fn compiled_scripts_are_pinned() {
+        use crate::explore::Explorer;
+        use crate::paper::{
+            fig5_series, fig6_scenario, fig6_tmr_values_ms, fig7_scenario, fig7_tm_values_ms,
+            fig8_scenario, FIG7_PANELS, FIG8_TD_MS, GROUP_SIZES,
+        };
+        use crate::runner::{down_intervals, Algorithm};
+
+        let d = Dur::from_millis(30);
+        let at = |ms| ScriptTime::AfterWarmup(Dur::from_millis(ms));
+        // (n, script, warm-up, end)
+        let mut corpus: Vec<(usize, FaultScript, Dur, Time)> = Vec::new();
+        for (_, n, _, crashed) in fig5_series() {
+            corpus.push((n, FaultScript::crash_steady(&crashed), W, end()));
+        }
+        for n in GROUP_SIZES {
+            corpus.push((n, FaultScript::normal_steady(), W, end()));
+            for tmr in fig6_tmr_values_ms() {
+                corpus.push((n, fig6_scenario(tmr), W, end()));
+            }
+            for td in FIG8_TD_MS {
+                corpus.push((n, fig8_scenario(td), W, end()));
+            }
+            corpus.push((
+                n,
+                FaultScript::crash_recover(
+                    Pid::new(0),
+                    Dur::from_millis(100),
+                    Dur::from_millis(400),
+                    d,
+                ),
+                W,
+                end(),
+            ));
+            let (left, right) = Pid::all(n).partition(|p| p.index() < n / 2 + 1);
+            corpus.push((
+                n,
+                FaultScript::healing_partition(
+                    vec![left, right],
+                    Dur::from_millis(100),
+                    Dur::from_millis(500),
+                    d,
+                ),
+                W,
+                end(),
+            ));
+        }
+        for (n, _, tmr) in FIG7_PANELS {
+            for tm in fig7_tm_values_ms() {
+                corpus.push((n, fig7_scenario(tmr, tm), W, end()));
+            }
+        }
+        let churn = (0..6).fold(FaultScript::default(), |s, i| {
+            s.churn(
+                at(100 * i),
+                Pid::new(1 + i as usize % 3),
+                Dur::from_millis(250),
+                d,
+            )
+        });
+        corpus.push((7, churn, W, end()));
+        // A second crash of a down process and a recovery of an up one.
+        let doubled = FaultScript::default()
+            .crash(at(100), Pid::new(2), d)
+            .crash(at(150), Pid::new(2), d)
+            .recover(at(300), Pid::new(2), d)
+            .recover(at(400), Pid::new(2), d);
+        corpus.push((3, doubled, W, end()));
+        let e = Explorer::new(0x5EED);
+        for alg in [
+            Algorithm::Fd,
+            Algorithm::FdNoRenumber,
+            Algorithm::Gm,
+            Algorithm::Ring,
+        ] {
+            for i in 0..64 {
+                let t = e.tuple(alg, i);
+                let stop = Time::ZERO + t.horizon + t.drain;
+                corpus.push((t.n, t.script, Dur::ZERO, stop));
+            }
+        }
+
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (i, (n, script, warmup, stop)) in corpus.iter().enumerate() {
+            let c = script.compile(*n, *warmup, *stop, i as u64);
+            let suspected: Vec<Pid> = Pid::all(*n)
+                .filter(|&p| c.initial_suspects().is_suspected(p))
+                .collect();
+            let down = down_intervals(&c, *n);
+            let text = format!(
+                "{:?}\n{:?}\n{suspected:?}\n{down:?}\n",
+                c.entries(),
+                c.ancient_crashes()
+            );
+            for b in text.bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x43cf_b13a_67f2_e9cb, "{h:#018x}");
+    }
 }
