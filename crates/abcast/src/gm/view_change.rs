@@ -221,7 +221,7 @@ impl<P: Payload> GmAbcast<P> {
                 let excluded = self.view.suspected_others(self.me, &self.suspects);
                 let joining: BTreeSet<Pid> = std::mem::take(&mut self.pending_joins)
                     .into_iter()
-                    .filter(|&p| !self.view.contains(p) && !self.suspects.is_suspected(p))
+                    .filter(|&p| !self.view.contains(p) && !self.suspects.contains(p))
                     .collect();
                 if !excluded.is_empty() || !joining.is_empty() {
                     self.start_vc(excluded, joining, out);
@@ -247,7 +247,7 @@ impl<P: Payload> GmAbcast<P> {
                     out.push(CastAction::Send(from, GmCastMsg::Gm(self.welcome())));
                     return;
                 }
-                if self.suspects.is_suspected(from) {
+                if self.suspects.contains(from) {
                     return; // still suspected: refuse (the joiner retries)
                 }
                 if self.vc.is_some() || self.install_pending {
@@ -478,7 +478,7 @@ impl<P: Payload> GmAbcast<P> {
             .members()
             .iter()
             .copied()
-            .filter(|&p| !vc.excluded.contains(&p) && (p == me || !self.suspects.is_suspected(p)))
+            .filter(|&p| !vc.excluded.contains(&p) && (p == me || !self.suspects.contains(p)))
             .collect();
         if !wait_set.iter().all(|p| vc.exchanges.contains_key(p)) {
             return;

@@ -216,8 +216,10 @@ impl<M: Machine> Process for Node<M> {
         if tag != M::PROBE_TAG {
             self.handle(ctx, |m, out| m.retry(tag, out));
         } else if self.probe_timer == Some(id) {
-            // The probe only queues actions, so re-arming first keeps
-            // the timer ahead of the probe's sends.
+            // The firing timer needs no cancel. The probe only queues
+            // actions, so re-arming first keeps the timer ahead of the
+            // probe's sends.
+            self.probe_timer = None;
             self.arm_probe(ctx);
             self.handle(ctx, M::probe);
         }
@@ -249,6 +251,122 @@ mod tests {
         assert_eq!(probe_interval(3), Dur::from_millis(50));
         assert_eq!(probe_interval(64), Dur::from_millis(50));
         assert_eq!(probe_interval(128), Dur::from_millis(256));
+    }
+
+    /// A node whose timer cancellations and probe ticks are counted.
+    struct Counted<M: Machine> {
+        node: Node<M>,
+        cancels: usize,
+        ticks: usize,
+    }
+
+    /// Forwards every call to the real context, counting cancels.
+    struct Counting<'a, 'c, M: Message, O> {
+        ctx: &'a mut (dyn Ctx<M, O> + 'c),
+        cancels: &'a mut usize,
+    }
+
+    impl<M: Message, O> Ctx<M, O> for Counting<'_, '_, M, O> {
+        fn now(&self) -> neko::Time {
+            self.ctx.now()
+        }
+        fn pid(&self) -> Pid {
+            self.ctx.pid()
+        }
+        fn n(&self) -> usize {
+            self.ctx.n()
+        }
+        fn send(&mut self, to: Pid, msg: M) {
+            self.ctx.send(to, msg);
+        }
+        fn multicast(&mut self, dests: &[Pid], msg: M) {
+            self.ctx.multicast(dests, msg);
+        }
+        fn broadcast(&mut self, msg: M) {
+            self.ctx.broadcast(msg);
+        }
+        fn set_timer(&mut self, after: Dur, tag: u64) -> TimerId {
+            self.ctx.set_timer(after, tag)
+        }
+        fn cancel_timer(&mut self, id: TimerId) {
+            *self.cancels += 1;
+            self.ctx.cancel_timer(id);
+        }
+        fn emit(&mut self, out: O) {
+            self.ctx.emit(out);
+        }
+        fn is_suspected(&self, p: Pid) -> bool {
+            self.ctx.is_suspected(p)
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            self.ctx.rng()
+        }
+    }
+
+    impl<M: Machine> Counted<M> {
+        fn call(
+            &mut self,
+            ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>,
+            f: impl FnOnce(&mut Node<M>, &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>),
+        ) {
+            let mut counting = Counting {
+                ctx,
+                cancels: &mut self.cancels,
+            };
+            f(&mut self.node, &mut counting);
+        }
+    }
+
+    impl<M: Machine> Process for Counted<M> {
+        type Msg = M::Msg;
+        type Cmd = M::Payload;
+        type Out = AbcastEvent<M::Payload>;
+
+        fn on_start(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
+            self.call(ctx, |node, ctx| node.on_start(ctx));
+        }
+        fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: M::Payload) {
+            self.call(ctx, |node, ctx| node.on_command(ctx, cmd));
+        }
+        fn on_message(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, from: Pid, msg: M::Msg) {
+            self.call(ctx, |node, ctx| node.on_message(ctx, from, msg));
+        }
+        fn on_timer(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, id: TimerId, tag: u64) {
+            self.ticks += usize::from(tag == M::PROBE_TAG);
+            self.call(ctx, |node, ctx| node.on_timer(ctx, id, tag));
+        }
+    }
+
+    /// A probe tick re-arms without cancelling the timer that is
+    /// firing: a cancel of an already-fired id is a no-op for the
+    /// process, but the runtime keeps it as a tombstone.
+    fn probe_ticks_cancel_nothing<M: Machine<Payload = u64>>(node: impl Fn(Pid) -> Node<M>) {
+        let mut sim = neko::SimBuilder::new(3).seed(1).build_with(|me| Counted {
+            node: node(me),
+            cancels: 0,
+            ticks: 0,
+        });
+        for i in 0..30u64 {
+            sim.schedule_command(neko::Time::from_millis(10 * i), Pid::new(i as usize % 3), i);
+        }
+        sim.run_until(neko::Time::from_secs(1));
+        for me in Pid::all(3) {
+            let c = sim.process(me);
+            assert!(c.ticks >= 19, "{me}: {} probe ticks", c.ticks);
+            assert_eq!(c.cancels, 0, "{me}");
+        }
+    }
+
+    #[test]
+    fn fd_probe_ticks_cancel_nothing() {
+        let none = fdet::SuspectSet::new();
+        probe_ticks_cancel_nothing(|me| FdNode::<u64>::new(me, 3, &none));
+    }
+
+    #[test]
+    fn gm_probe_ticks_cancel_nothing() {
+        let none = fdet::SuspectSet::new();
+        probe_ticks_cancel_nothing(|me| GmNode::<u64>::new(me, 3, &none));
     }
 
     #[test]

@@ -3,10 +3,18 @@
 
 use abcast::{AbcastEvent, FdNode, GmNode, Uniformity};
 use fdet::SuspectSet;
-use neko::{NetStats, Pid, Process, Sim, SimBuilder, Time};
+use neko::{Dur, FdEvent, Injection, NetStats, Pid, Process, Sim, SimBuilder, Time};
 
 /// One A-delivery observation.
 type Obs = (Time, Pid, u64);
+
+/// The failure-detector edges of `p`'s crash at `at`: every other
+/// process suspects it `td` later.
+fn crash_detected(n: usize, p: Pid, at: Time, td: Dur) -> impl Iterator<Item = (Time, Injection)> {
+    Pid::all(n)
+        .filter(move |&q| q != p)
+        .map(move |q| (at + td, Injection::Fd(q, FdEvent::Suspect(p))))
+}
 
 fn drive<P>(mut sim: Sim<P>, cmds: &[(Time, usize, u64)], until: Time) -> (Vec<Obs>, NetStats)
 where
@@ -151,10 +159,10 @@ fn crash_transient_fd_delivers_after_detection() {
         .seed(2)
         .build_with(|p| FdNode::<u64>::new(p, n, &s));
     let t = Time::from_millis(100);
-    let td = neko::Dur::from_millis(30);
+    let td = Dur::from_millis(30);
     sim.schedule_crash(t, Pid::new(0));
     sim.schedule_command(t, Pid::new(1), 7);
-    sim.schedule_plan(fdet::crash_transient_plan(n, Pid::new(0), t, td));
+    sim.schedule_plan(crash_detected(n, Pid::new(0), t, td));
     sim.run_until(Time::from_secs(2));
     let obs: Vec<Obs> = sim
         .take_outputs()
@@ -173,7 +181,7 @@ fn crash_transient_fd_delivers_after_detection() {
         .expect("delivered");
     assert!(first >= t + td, "no delivery before detection, got {first}");
     assert!(
-        first < t + td + neko::Dur::from_millis(20),
+        first < t + td + Dur::from_millis(20),
         "round 2 completes promptly after detection, got {first}"
     );
 }
@@ -186,10 +194,10 @@ fn crash_transient_gm_delivers_after_view_change() {
         .seed(2)
         .build_with(|p| GmNode::<u64>::new(p, n, &s));
     let t = Time::from_millis(100);
-    let td = neko::Dur::from_millis(30);
+    let td = Dur::from_millis(30);
     sim.schedule_crash(t, Pid::new(0)); // the sequencer
     sim.schedule_command(t, Pid::new(1), 7);
-    sim.schedule_plan(fdet::crash_transient_plan(n, Pid::new(0), t, td));
+    sim.schedule_plan(crash_detected(n, Pid::new(0), t, td));
     sim.run_until(Time::from_secs(2));
     let obs: Vec<Obs> = sim
         .take_outputs()
@@ -216,10 +224,18 @@ fn crash_steady_gm_sequencer_waits_for_fewer_acks() {
     // delivery must not be later than FD's.
     let n = 7;
     let crashed = [Pid::new(4), Pid::new(5), Pid::new(6)];
-    let plan = fdet::crash_steady_plan(n, &crashed);
+    // Every survivor suspects every crashed process from time zero.
+    let plan: Vec<(Time, Injection)> = Pid::all(n)
+        .filter(|q| !crashed.contains(q))
+        .flat_map(|q| {
+            crashed
+                .iter()
+                .map(move |&c| (Time::ZERO, Injection::Fd(q, FdEvent::Suspect(c))))
+        })
+        .collect();
     let mut suspects = SuspectSet::new();
     for &c in &crashed {
-        suspects.apply(neko::FdEvent::Suspect(c));
+        suspects.apply(FdEvent::Suspect(c));
     }
 
     // FD: survivors know of the crashes from the start.

@@ -392,7 +392,7 @@ impl<V: Value> Consensus<V> {
                 return;
             }
             self.phase = Phase::AwaitPropose;
-            if !self.suspects.is_suspected(c) {
+            if !self.suspects.contains(c) {
                 if r > 1 {
                     self.send_estimate(out);
                 }

@@ -40,7 +40,7 @@ use neko::{derive_seed, stream_rng, DestSet, Dur, NetworkModel, Pid, Schedule, T
 use rand::RngCore;
 
 use crate::oracle::{self, Expectations, Violation};
-use crate::runner::{down_intervals, parallel_map, sweep_workers, Algorithm, Execution, RunParams};
+use crate::runner::{parallel_map, sweep_workers, Algorithm, Execution, RunParams};
 use crate::script::{CompiledScript, FaultEvent, FaultScript, ScriptAction, ScriptTime};
 use crate::workload::poisson_arrivals;
 
@@ -596,7 +596,6 @@ fn expectations(
     arrivals: &[(Time, Pid, u64)],
 ) -> Expectations {
     let n = t.n;
-    let down = down_intervals(compiled, n);
     // Partition windows, widened by the safety margin.
     let mut windows: Vec<(Time, Time)> = Vec::new();
     let mut open: Option<Time> = None;
@@ -652,9 +651,7 @@ fn expectations(
     let mut ever_suspected = DestSet::new();
     for (at, act) in compiled.entries() {
         if let ScriptAction::Inject(neko::Injection::Fd(q, neko::FdEvent::Suspect(p))) = act {
-            let observer_down = down[q.index()]
-                .iter()
-                .any(|(from, until)| *at >= *from && until.is_none_or(|u| *at < u));
+            let observer_down = compiled.is_down(*q, *at);
             let observer_cut = minority.contains(*q) && partitioned(*at);
             if !observer_down && !observer_cut {
                 ever_suspected.insert(*p);
@@ -671,9 +668,11 @@ fn expectations(
         // crash/recover boundary, where a permuted tie may drop the
         // command), never under suspicion, and the network was
         // clearly whole.
-        let down_or_boundary = down[p.index()].iter().any(|(from, until)| {
-            (at >= *from && until.is_none_or(|u| at < u)) || Some(at) == *until
-        });
+        let down_or_boundary = compiled.is_down(p, at)
+            || compiled
+                .down_intervals()
+                .get(p.index())
+                .is_some_and(|down| down.iter().any(|&(_, until)| until == Some(at)));
         if !down_or_boundary && !partitioned(at) && !ever_suspected.contains(p) {
             must_deliver.insert(v);
         }
@@ -690,7 +689,7 @@ fn expectations(
     for p in minority.iter() {
         excluded.insert(p);
     }
-    for (i, intervals) in down.iter().enumerate() {
+    for (i, intervals) in compiled.down_intervals().iter().enumerate() {
         if !intervals.is_empty() {
             excluded.insert(Pid::new(i));
         }

@@ -31,8 +31,8 @@ use std::time::Duration;
 use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Pack, Payload, Uniformity};
 use fdet::SuspectSet;
 use neko::{
-    derive_seed, Dur, Injection, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig,
-    RealRuntime, Runtime, Schedule, Sim, SimBuilder, Time,
+    derive_seed, Dur, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig, RealRuntime,
+    Runtime, Schedule, Sim, SimBuilder, Time,
 };
 use ringpaxos::RingNode;
 
@@ -79,11 +79,19 @@ pub enum Backend {
     /// The thread-based real-time runtime: the same schedule replayed
     /// on the wall clock, with crashes pausing process threads, a
     /// router thread gating partitions and a heartbeat failure
-    /// detector underneath the scripted FD edges. A run *blocks* for
-    /// its full wall-clock duration (warm-up + measurement + drain),
-    /// and latencies include genuine OS scheduling noise.
+    /// detector underneath the scripted FD edges (5 ms period, 60 ms
+    /// suspicion timeout). A run *blocks* for its full wall-clock
+    /// duration (warm-up + measurement + drain), and latencies include
+    /// genuine OS scheduling noise.
     Real,
 }
+
+/// The heartbeat period of [`Backend::Real`]'s failure detector.
+const REAL_HEARTBEAT_PERIOD: Duration = Duration::from_millis(5);
+
+/// How long [`Backend::Real`]'s failure detector waits for a
+/// heartbeat before it suspects the sender.
+const REAL_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(60);
 
 /// Default bound on retained per-message latency samples per run (see
 /// [`RunParams::with_latency_sample_cap`]).
@@ -101,8 +109,6 @@ pub struct RunParams {
     net: NetParams,
     saturation_frac: f64,
     backend: Backend,
-    hb_period: Dur,
-    hb_timeout: Dur,
     latency_cap: usize,
     batching: Option<BatchConfig>,
     schedule: Schedule,
@@ -124,8 +130,6 @@ impl RunParams {
             net: NetParams::default(),
             saturation_frac: 0.05,
             backend: Backend::Sim,
-            hb_period: Dur::from_millis(5),
-            hb_timeout: Dur::from_millis(60),
             latency_cap: DEFAULT_LATENCY_SAMPLE_CAP,
             batching: None,
             schedule: Schedule::Fifo,
@@ -240,20 +244,6 @@ impl RunParams {
     /// The configured execution backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Configures the real backend's heartbeat failure detector
-    /// (default: 5 ms period, 60 ms suspicion timeout). Ignored by
-    /// [`Backend::Sim`], whose detector is abstract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timeout <= period`.
-    pub fn with_real_heartbeat(mut self, period: Dur, timeout: Dur) -> Self {
-        assert!(timeout > period, "heartbeat timeout must exceed the period");
-        self.hb_period = period;
-        self.hb_timeout = timeout;
-        self
     }
 
     /// Bounds the per-message latency samples one run retains
@@ -716,10 +706,7 @@ impl Execution<'_> {
             }
             Backend::Real => {
                 let config = RealConfig::new()
-                    .heartbeat(
-                        Duration::from_micros(params.hb_period.as_micros()),
-                        Duration::from_micros(params.hb_timeout.as_micros()),
-                    )
+                    .heartbeat(REAL_HEARTBEAT_PERIOD, REAL_HEARTBEAT_TIMEOUT)
                     .seed(self.seed);
                 let mut rt = RealRuntime::new(n, config, factory);
                 self.schedule(&mut rt);
@@ -781,7 +768,6 @@ fn steady_run(
         }
     }
 
-    let downtime = down_intervals(compiled, params.n);
     let w0 = Time::ZERO + params.warmup;
     let send_horizon = w0 + params.measure;
     // Both accumulators see every delivered latency: `lat` computes
@@ -801,10 +787,7 @@ fn steady_run(
         }
         // A broadcast attempted by a process that was down at the
         // send instant never entered the system: not a measurement.
-        if downtime[sender.index()]
-            .iter()
-            .any(|(from, until)| sent >= *from && until.is_none_or(|u| sent < u))
-        {
+        if compiled.is_down(sender, sent) {
             continue;
         }
         measured += 1;
@@ -858,38 +841,6 @@ fn probe_run(run: Executed, probe_at: Time) -> SingleRun {
 /// same predicate.
 pub(crate) fn saturation_exceeded(measured: u64, undelivered: u64, frac: f64) -> bool {
     measured == 0 || (undelivered as f64) > frac * measured as f64
-}
-
-/// Per-process down intervals `[crash, recover)` (recover = `None`
-/// for good), read back from the compiled injection stream. Shared
-/// with the schedule explorer, which excuses a sender's broadcasts
-/// while it was down.
-pub(crate) fn down_intervals(
-    compiled: &CompiledScript,
-    n: usize,
-) -> Vec<Vec<(Time, Option<Time>)>> {
-    let mut edges: Vec<(Time, bool, Pid)> = compiled
-        .entries()
-        .iter()
-        .filter_map(|(t, a)| match a {
-            ScriptAction::Inject(Injection::Crash(p)) => Some((*t, true, *p)),
-            ScriptAction::Inject(Injection::Recover(p)) => Some((*t, false, *p)),
-            _ => None,
-        })
-        .collect();
-    edges.sort_by_key(|(t, is_crash, _)| (*t, !*is_crash));
-    let mut down: Vec<Vec<(Time, Option<Time>)>> = vec![Vec::new(); n];
-    for (t, is_crash, p) in edges {
-        let intervals = &mut down[p.index()];
-        if is_crash {
-            if !matches!(intervals.last(), Some((_, None))) {
-                intervals.push((t, None));
-            }
-        } else if let Some((_, until @ None)) = intervals.last_mut() {
-            *until = Some(t);
-        }
-    }
-    down
 }
 
 #[cfg(test)]

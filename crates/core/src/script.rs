@@ -16,6 +16,15 @@
 //! mask) — that is what makes every scenario below runnable *for
 //! real* through `Backend::Real`.
 //!
+//! Compilation is the one place that gives a fault its meaning: a
+//! crash, recovery or partition becomes its kernel injection plus the
+//! failure-detector edges it causes `T_D` later (only wrong suspicions
+//! are sampled, by [`fdet::suspicion_burst_plan`]), and the compiled
+//! script carries each process's down intervals
+//! ([`CompiledScript::down_intervals`]), which the runner and the
+//! schedule explorer read to tell which broadcasts could enter the
+//! system.
+//!
 //! ## Grammar
 //!
 //! * [`FaultScript::normal_steady`] — the empty script;
@@ -52,10 +61,7 @@
 //! assert_eq!(beyond.events().len(), 2);
 //! ```
 
-use fdet::{
-    crash_steady_plan, crash_transient_plan, partition_cut_plan, partition_heal_plan,
-    recovery_plan, suspicion_burst_plan, QosParams, SuspectSet,
-};
+use fdet::{suspicion_burst_plan, QosParams, SuspectSet};
 use neko::{derive_seed, Dur, FdEvent, Injection, Partition, Pid, Time};
 
 /// A point on a script's timeline, resolved against the run
@@ -381,60 +387,41 @@ impl FaultScript {
                 _ => None,
             })
             .collect();
-        let mut initial_suspects = SuspectSet::new();
-        for &c in &ancient {
-            initial_suspects.apply(FdEvent::Suspect(c));
-        }
-        let mut entries: Vec<(Time, ScriptAction)> = Vec::new();
-        let inject = |entries: &mut Vec<(Time, ScriptAction)>, plan: Vec<(Time, Injection)>| {
-            entries.extend(
-                plan.into_iter()
-                    .map(|(t, inj)| (t, ScriptAction::Inject(inj))),
-            );
-        };
-        // Per-process up/down edges over the whole timeline, for the
-        // detector resync below: a process that recovers missed every
-        // FD edge delivered while it was down (the kernel drops them),
-        // so its own detector must be re-synchronized with ground
-        // truth at recovery — otherwise stale suspicions from before
-        // the crash (e.g. a partition that healed in the meantime)
-        // poison the group forever.
-        let mut updown: Vec<Vec<(Time, bool)>> = vec![Vec::new(); n];
-        for (pid, t, down) in self.events.iter().flat_map(|ev| ev.edges(&resolve)) {
-            updown[pid.index()].push((t, down));
-        }
-        for tl in &mut updown {
-            tl.sort();
-        }
-        let down_at = |q: Pid, t: Time| {
-            updown[q.index()]
-                .iter()
-                .rev()
-                .find(|(edge, _)| *edge <= t)
-                .is_some_and(|(_, down)| *down)
-        };
-        // The recovered process's own detector, resynced at the same
-        // detection delay its peers need to notice the recovery:
-        // suspect exactly the processes that are down at that instant
-        // (redundant edges are dropped by the kernel, so this is a
-        // no-op for every pair the detector already has right).
-        let resync = |entries: &mut Vec<(Time, ScriptAction)>, pid: Pid, at: Time| {
-            for q in Pid::all(n) {
-                if q == pid {
-                    continue;
+        // Per-process `[crash, recover)` intervals over the whole
+        // timeline. At a same-instant tie the crash comes first, a
+        // second crash leaves the open interval open, and a recovery
+        // of a process that is up is ignored.
+        let down: Vec<Vec<(Time, Option<Time>)>> = Pid::all(n)
+            .map(|p| {
+                let mut edges: Vec<(Time, bool)> = self
+                    .events
+                    .iter()
+                    .flat_map(|ev| ev.edges(&resolve))
+                    .filter(|&(pid, ..)| pid == p)
+                    .map(|(_, t, crash)| (t, !crash))
+                    .collect();
+                edges.sort();
+                let mut intervals: Vec<(Time, Option<Time>)> = Vec::new();
+                for (t, up) in edges {
+                    match (intervals.last_mut(), up) {
+                        (Some((_, until @ None)), true) => *until = Some(t),
+                        (Some((_, None)), false) | (_, true) => {}
+                        (_, false) => intervals.push((t, None)),
+                    }
                 }
-                let edge = if down_at(q, at) {
-                    FdEvent::Suspect(q)
-                } else {
-                    FdEvent::Trust(q)
-                };
-                entries.push((at, ScriptAction::Inject(Injection::Fd(pid, edge))));
-            }
-        };
+                intervals
+            })
+            .collect();
+        let mut entries: Vec<(Time, ScriptAction)> = Vec::new();
         for &c in &ancient {
-            entries.push((Time::ZERO, ScriptAction::Inject(Injection::Crash(c))));
+            entries.push(inject(Time::ZERO, Injection::Crash(c)));
         }
-        inject(&mut entries, crash_steady_plan(n, &ancient));
+        // Every survivor suspects every ancient crash from the start.
+        for q in Pid::all(n).filter(|q| !ancient.contains(q)) {
+            for &p in &ancient {
+                entries.push(inject(Time::ZERO, Injection::Fd(q, FdEvent::Suspect(p))));
+            }
+        }
 
         let mut bursts = 0u64;
         for ev in &self.events {
@@ -445,14 +432,41 @@ impl FaultScript {
                 FaultEvent::Crash { detection, .. }
                 | FaultEvent::Recover { detection, .. }
                 | FaultEvent::Churn { detection, .. } => {
-                    for (pid, t, down) in ev.edges(&resolve) {
-                        if down {
-                            entries.push((t, ScriptAction::Inject(Injection::Crash(pid))));
-                            inject(&mut entries, crash_transient_plan(n, pid, t, *detection));
+                    for (pid, t, down_edge) in ev.edges(&resolve) {
+                        // `T_D` after the crash (recovery) every other
+                        // process suspects (trusts) `pid`.
+                        let (action, seen) = if down_edge {
+                            (Injection::Crash(pid), FdEvent::Suspect(pid))
                         } else {
-                            entries.push((t, ScriptAction::Inject(Injection::Recover(pid))));
-                            inject(&mut entries, recovery_plan(n, pid, t, *detection));
-                            resync(&mut entries, pid, t + *detection);
+                            (Injection::Recover(pid), FdEvent::Trust(pid))
+                        };
+                        entries.push(inject(t, action));
+                        let noticed = t + *detection;
+                        entries.extend(
+                            Pid::all(n)
+                                .filter(|&q| q != pid)
+                                .map(|q| inject(noticed, Injection::Fd(q, seen))),
+                        );
+                        if down_edge {
+                            continue;
+                        }
+                        // A process that recovers missed every FD edge
+                        // delivered while it was down (the kernel drops
+                        // them), so its own detector is resynchronized
+                        // with ground truth at the delay its peers need
+                        // to notice the recovery: otherwise stale
+                        // suspicions from before the crash (e.g. a
+                        // partition that healed in the meantime) poison
+                        // the group forever. Redundant edges are dropped
+                        // by the kernel, so this is a no-op for every
+                        // pair the detector already has right.
+                        for q in Pid::all(n).filter(|&q| q != pid) {
+                            let truth = if down_at(&down, q, noticed) {
+                                FdEvent::Suspect(q)
+                            } else {
+                                FdEvent::Trust(q)
+                            };
+                            entries.push(inject(noticed, Injection::Fd(pid, truth)));
                         }
                     }
                 }
@@ -466,17 +480,15 @@ impl FaultScript {
                     // paper's suspicion-steady runs stay bit-identical.
                     let stream = 0xFD ^ (bursts << 32);
                     bursts += 1;
-                    inject(
-                        &mut entries,
-                        suspicion_burst_plan(
-                            n,
-                            resolve(*from),
-                            resolve(*until),
-                            *qos,
-                            derive_seed(seed, stream),
-                            targets.as_deref(),
-                        ),
+                    let plan = suspicion_burst_plan(
+                        n,
+                        resolve(*from),
+                        resolve(*until),
+                        *qos,
+                        derive_seed(seed, stream),
+                        targets.as_deref(),
                     );
+                    entries.extend(plan.into_iter().map(|(t, inj)| inject(t, inj)));
                 }
                 FaultEvent::Partition {
                     at,
@@ -484,14 +496,16 @@ impl FaultScript {
                     heal_at,
                     detection,
                 } => {
+                    // `T_D` after the cut (heal) every process suspects
+                    // (trusts) every process the cut hides from it.
                     let part = Partition::split(groups);
                     let t = resolve(*at);
-                    entries.push((t, ScriptAction::Inject(Injection::Partition(part.clone()))));
-                    inject(&mut entries, partition_cut_plan(n, &part, t, *detection));
+                    entries.push(inject(t, Injection::Partition(part.clone())));
+                    entries.extend(cross_edges(n, &part, t + *detection, FdEvent::Suspect));
                     if let Some(h) = heal_at {
                         let ht = resolve(*h);
-                        entries.push((ht, ScriptAction::Inject(Injection::Heal)));
-                        inject(&mut entries, partition_heal_plan(n, &part, ht, *detection));
+                        entries.push(inject(ht, Injection::Heal));
+                        entries.extend(cross_edges(n, &part, ht + *detection, FdEvent::Trust));
                     }
                 }
             }
@@ -517,11 +531,42 @@ impl FaultScript {
             entries.insert(pos, (t, ScriptAction::Probe(probe.broadcaster)));
         }
         CompiledScript {
-            initial_suspects,
+            initial_suspects: ancient.iter().copied().collect(),
             ancient,
+            down,
             entries,
         }
     }
+}
+
+/// The entry that schedules `inj` at `at`.
+fn inject(at: Time, inj: Injection) -> (Time, ScriptAction) {
+    (at, ScriptAction::Inject(inj))
+}
+
+/// The FD edges of a partition cut or heal at `at`: `edge(p)`
+/// reported to every `q` that `part` cuts off from `p`.
+fn cross_edges(
+    n: usize,
+    part: &Partition,
+    at: Time,
+    edge: fn(Pid) -> FdEvent,
+) -> impl Iterator<Item = (Time, ScriptAction)> + '_ {
+    Pid::all(n).flat_map(move |q| {
+        Pid::all(n)
+            .filter(move |&p| p != q && !part.allows(q, p))
+            .map(move |p| inject(at, Injection::Fd(q, edge(p))))
+    })
+}
+
+/// Whether `p` is inside one of its `[crash, recover)` intervals at
+/// `at`.
+fn down_at(down: &[Vec<(Time, Option<Time>)>], p: Pid, at: Time) -> bool {
+    down.get(p.index()).is_some_and(|intervals| {
+        intervals
+            .iter()
+            .any(|&(from, until)| at >= from && until.is_none_or(|u| at < u))
+    })
 }
 
 /// One action of a compiled script. Schedule [`ScriptAction::Inject`]
@@ -541,6 +586,7 @@ pub enum ScriptAction {
 pub struct CompiledScript {
     initial_suspects: SuspectSet,
     ancient: Vec<Pid>,
+    down: Vec<Vec<(Time, Option<Time>)>>,
     entries: Vec<(Time, ScriptAction)>,
 }
 
@@ -561,6 +607,17 @@ impl CompiledScript {
     /// same-instant ties).
     pub fn entries(&self) -> &[(Time, ScriptAction)] {
         &self.entries
+    }
+
+    /// Each process's down intervals `[crash, recover)`, indexed by
+    /// pid, in time order (`None`: down for good).
+    pub fn down_intervals(&self) -> &[Vec<(Time, Option<Time>)>] {
+        &self.down
+    }
+
+    /// Whether `p` is down at `at`, by [`Self::down_intervals`].
+    pub fn is_down(&self, p: Pid, at: Time) -> bool {
+        down_at(&self.down, p, at)
     }
 }
 
@@ -586,7 +643,7 @@ mod tests {
     fn crash_steady_marks_ancient_crashes() {
         let c = FaultScript::crash_steady(&[Pid::new(2)]).compile(3, W, end(), 1);
         assert_eq!(c.ancient_crashes(), &[Pid::new(2)]);
-        assert!(c.initial_suspects().is_suspected(Pid::new(2)));
+        assert!(c.initial_suspects().contains(Pid::new(2)));
         // Crash injection first, then one suspect edge per survivor,
         // all at time zero.
         assert_eq!(c.entries().len(), 3);
@@ -767,6 +824,119 @@ mod tests {
         assert_eq!(a.compile(3, W, end(), 1), b.compile(3, W, end(), 1));
     }
 
+    /// The failure-detector edges of a compiled script, in order.
+    fn fd_edges(c: &CompiledScript) -> Vec<(Time, Pid, FdEvent)> {
+        c.entries()
+            .iter()
+            .filter_map(|(t, a)| match a {
+                ScriptAction::Inject(Injection::Fd(q, ev)) => Some((*t, *q, *ev)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crash_steady_survivors_suspect_every_ancient_crash_at_zero() {
+        let c = FaultScript::crash_steady(&[Pid::new(2)]).compile(4, W, end(), 1);
+        let edges = fd_edges(&c);
+        assert_eq!(edges.len(), 3, "three survivors suspect p3");
+        for (t, q, ev) in edges {
+            assert_eq!(t, Time::ZERO);
+            assert_ne!(q, Pid::new(2));
+            assert_eq!(ev, FdEvent::Suspect(Pid::new(2)));
+        }
+        let c = FaultScript::crash_steady(&[Pid::new(0), Pid::new(1)]).compile(4, W, end(), 1);
+        let edges = fd_edges(&c);
+        // p3 and p4 each suspect p1 and p2.
+        assert_eq!(edges.len(), 4);
+        for (t, q, ev) in edges {
+            assert_eq!(t, Time::ZERO);
+            assert!(q.index() >= 2, "only survivors observe");
+            assert!(matches!(ev, FdEvent::Suspect(p) if p.index() < 2));
+        }
+        assert_eq!(c.down_intervals()[0], vec![(Time::ZERO, None)]);
+        assert!(c.down_intervals()[2].is_empty());
+    }
+
+    #[test]
+    fn crash_and_recovery_are_noticed_detection_time_later() {
+        let (crash, td) = (Pid::new(1), Dur::from_millis(40));
+        let c = FaultScript::crash_recover(crash, Dur::from_millis(100), Dur::from_millis(400), td)
+            .compile(3, W, end(), 1);
+        let tc = Time::ZERO + W + Dur::from_millis(100);
+        let tr = tc + Dur::from_millis(400);
+        let edges = fd_edges(&c);
+        // Two observers suspect, then trust; then the recovered
+        // process's own detector is resynced (both peers are up).
+        assert_eq!(edges.len(), 6);
+        for &(t, q, ev) in &edges[..2] {
+            assert_eq!((t, ev), (tc + td, FdEvent::Suspect(crash)));
+            assert_ne!(q, crash);
+        }
+        for &(t, q, ev) in &edges[2..4] {
+            assert_eq!((t, ev), (tr + td, FdEvent::Trust(crash)));
+            assert_ne!(q, crash);
+        }
+        for &(t, q, ev) in &edges[4..] {
+            assert_eq!((t, q), (tr + td, crash));
+            assert!(matches!(ev, FdEvent::Trust(p) if p != crash));
+        }
+        assert_eq!(c.down_intervals()[1], vec![(tc, Some(tr))]);
+        assert!(c.is_down(crash, tc) && !c.is_down(crash, tr));
+    }
+
+    #[test]
+    fn partitions_cut_and_heal_exactly_the_cut_pairs() {
+        let groups = vec![vec![Pid::new(0), Pid::new(1)], vec![Pid::new(2)]];
+        let part = Partition::split(&groups);
+        let td = Dur::from_millis(30);
+        let c = FaultScript::healing_partition(
+            groups,
+            Dur::from_millis(100),
+            Dur::from_millis(500),
+            td,
+        )
+        .compile(3, W, end(), 1);
+        let cut = Time::ZERO + W + Dur::from_millis(100) + td;
+        let heal = cut + Dur::from_millis(500);
+        let edges = fd_edges(&c);
+        // p1⇹p3 and p2⇹p3, in both directions: suspected at the cut,
+        // trusted at the heal.
+        assert_eq!(edges.len(), 8);
+        for (i, (t, q, ev)) in edges.into_iter().enumerate() {
+            assert!(!part.allows(q, ev.subject()), "{q} -> {ev:?}");
+            if i < 4 {
+                assert_eq!(t, cut);
+                assert!(matches!(ev, FdEvent::Suspect(_)));
+            } else {
+                assert_eq!(t, heal);
+                assert!(matches!(ev, FdEvent::Trust(_)));
+            }
+        }
+        assert!(c.down_intervals().iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn down_intervals_put_the_crash_first_and_ignore_redundant_edges() {
+        let d = Dur::from_millis(10);
+        let at = |ms| ScriptTime::At(Time::from_millis(ms));
+        let p = Pid::new(1);
+        let c = FaultScript::default()
+            .recover(at(50), p, d) // of a process that is up: ignored
+            .crash(at(100), p, d)
+            .crash(at(150), p, d) // while down: the interval stays open
+            .recover(at(300), p, d)
+            .crash(at(400), p, d)
+            .recover(at(400), p, d) // same-instant tie: crash first
+            .compile(3, W, end(), 1);
+        let ms = Time::from_millis;
+        assert_eq!(
+            c.down_intervals()[1],
+            vec![(ms(100), Some(ms(300))), (ms(400), Some(ms(400)))]
+        );
+        assert!(!c.is_down(p, ms(99)) && c.is_down(p, ms(299)) && !c.is_down(p, ms(400)));
+    }
+
     #[test]
     fn compile_is_deterministic() {
         let qos = QosParams::new().with_mistake_recurrence(Dur::from_millis(40));
@@ -794,7 +964,7 @@ mod tests {
             fig5_series, fig6_scenario, fig6_tmr_values_ms, fig7_scenario, fig7_tm_values_ms,
             fig8_scenario, FIG7_PANELS, FIG8_TD_MS, GROUP_SIZES,
         };
-        use crate::runner::{down_intervals, Algorithm};
+        use crate::runner::Algorithm;
 
         let d = Dur::from_millis(30);
         let at = |ms| ScriptTime::AfterWarmup(Dur::from_millis(ms));
@@ -874,9 +1044,9 @@ mod tests {
         for (i, (n, script, warmup, stop)) in corpus.iter().enumerate() {
             let c = script.compile(*n, *warmup, *stop, i as u64);
             let suspected: Vec<Pid> = Pid::all(*n)
-                .filter(|&p| c.initial_suspects().is_suspected(p))
+                .filter(|&p| c.initial_suspects().contains(p))
                 .collect();
-            let down = down_intervals(&c, *n);
+            let down = c.down_intervals();
             let text = format!(
                 "{:?}\n{:?}\n{suspected:?}\n{down:?}\n",
                 c.entries(),

@@ -85,7 +85,7 @@ impl Summary {
         self.n
     }
 
-    /// `true` if built from a single sample.
+    /// Always `false`: a `Summary` is built from at least one sample.
     pub fn is_empty(&self) -> bool {
         false
     }

@@ -7,31 +7,31 @@
 //! (constant), mistake recurrence time `T_MR` and mistake duration
 //! `T_M` (both exponential, independent per monitored pair).
 //!
-//! * [`QosParams`] — the three metrics;
-//! * the plan compilers — [`crash_steady_plan`],
-//!   [`crash_transient_plan`], [`suspicion_steady_plan`],
-//!   [`suspicion_burst_plan`], [`recovery_plan`],
-//!   [`partition_cut_plan`], [`partition_heal_plan`] — turn one fault
-//!   into a stream of timestamped [`neko::Injection`]s (a
-//!   [`PlanEntry`] stream) for [`neko::Sim::schedule_plan`]; fault
-//!   scripts (`study::FaultScript`) concatenate these streams;
-//! * [`SuspectSet`] — per-process bookkeeping used by the protocol
-//!   state machines.
+//! * [`QosParams`] — the wrong-suspicion metrics `T_MR` and `T_M`;
+//! * [`suspicion_burst_plan`] — samples the wrong suspicions of every
+//!   monitored pair inside a window as a stream of timestamped
+//!   [`neko::Injection::Fd`] edges, ready for
+//!   [`neko::Sim::schedule_plan`];
+//! * [`SuspectSet`] — a detector's current output, kept by the
+//!   protocol state machines: the kernel's [`neko::DestSet`], fed
+//!   with [`neko::DestSet::apply`].
 //!
-//! The plan compilers are backend-agnostic: on [`neko::Sim`] the
-//! injections drive the abstract QoS detector model; on
-//! [`neko::RealRuntime`] the same `Fd` edges are forced onto the
+//! The edges of crashes, recoveries and partitions, which follow
+//! from `T_D` alone, are emitted by the fault-script compiler
+//! (`study::FaultScript::compile`). The sampled edges are
+//! backend-agnostic: on [`neko::Sim`] they drive the abstract QoS
+//! detector model; on [`neko::RealRuntime`] they are forced onto the
 //! live heartbeat detector's mask, so a scripted suspicion burst
 //! perturbs a real thread exactly when it perturbed the simulation.
 //!
 //! ```
-//! use fdet::{suspicion_steady_plan, QosParams};
+//! use fdet::{suspicion_burst_plan, QosParams};
 //! use neko::{Dur, Time};
 //!
 //! let qos = QosParams::new()
 //!     .with_mistake_recurrence(Dur::from_millis(1_000))
 //!     .with_mistake_duration(Dur::ZERO);
-//! let plan = suspicion_steady_plan(3, Time::from_secs(10), qos, 42);
+//! let plan = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(10), qos, 42, None);
 //! assert!(!plan.is_empty()); // ready for Sim::schedule_plan
 //! ```
 
@@ -41,10 +41,22 @@
 #![forbid(unsafe_code)]
 
 mod qos;
-mod suspect;
 
-pub use qos::{
-    crash_steady_plan, crash_transient_plan, partition_cut_plan, partition_heal_plan,
-    recovery_plan, suspicion_burst_plan, suspicion_steady_plan, PlanEntry, QosParams,
-};
-pub use suspect::SuspectSet;
+pub use qos::{suspicion_burst_plan, QosParams};
+
+/// The set of processes a local failure-detector module currently
+/// suspects. Protocol state machines keep one, fold every
+/// [`neko::FdEvent`] they receive into it with
+/// [`apply`](neko::DestSet::apply), and ask it
+/// [`contains`](neko::DestSet::contains) when they need the
+/// detector's opinion.
+///
+/// ```
+/// use fdet::SuspectSet;
+/// use neko::{FdEvent, Pid};
+///
+/// let mut s = SuspectSet::new();
+/// assert!(s.apply(FdEvent::Suspect(Pid::new(1))));
+/// assert!(s.contains(Pid::new(1)));
+/// ```
+pub type SuspectSet = neko::DestSet;

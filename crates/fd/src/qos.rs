@@ -15,24 +15,19 @@
 //!   (exponential).
 //!
 //! Modules are independent and identically distributed, as in the
-//! paper. The compilers below turn these metrics into *plans*:
-//! streams of timestamped [`neko::Injection`]s (here all
-//! failure-detector edges) ready for [`neko::Sim::schedule_plan`].
-//! Fault scripts (`study::FaultScript`) compile each of their events
-//! through one of these plan compilers and concatenate the streams.
+//! paper. `T_D` is a plain delay, which the fault-script compiler
+//! (`study::FaultScript::compile`) adds to each crash, recovery and
+//! partition edge it emits. The wrong suspicions need sampling:
+//! [`suspicion_burst_plan`] turns `T_MR` and `T_M` into a *plan*, a
+//! stream of timestamped [`neko::Injection::Fd`] edges ready for
+//! [`neko::Sim::schedule_plan`].
 
-use neko::{sample_exp_micros, stream_rng, Dur, FdEvent, Injection, Partition, Pid, Time};
-
-/// One timestamped kernel injection. The compilers in this module
-/// emit [`Injection::Fd`] edges; fault-script compilation interleaves
-/// them with crash, recovery and partition injections into one
-/// unified stream for [`neko::Sim::schedule_plan`].
-pub type PlanEntry = (Time, Injection);
+use neko::{sample_exp_micros, stream_rng, Dur, FdEvent, Injection, Pid, Time};
 
 /// The wrong-suspicion QoS parameters (`T_MR`, `T_M`) of the
 /// (identically distributed) failure-detector modules. The detection
-/// time `T_D` is an argument of each crash, recovery and partition
-/// plan compiler instead.
+/// time `T_D` is a parameter of each crash, recovery and partition
+/// of a fault script instead.
 ///
 /// ```
 /// use fdet::QosParams;
@@ -95,96 +90,6 @@ impl Default for QosParams {
     }
 }
 
-/// Plan for the **crash-steady** scenario: the crashes happened long
-/// ago, so at time zero every correct process already suspects every
-/// crashed process, permanently. No wrong suspicions.
-pub fn crash_steady_plan(n: usize, crashed: &[Pid]) -> Vec<PlanEntry> {
-    let mut plan = Vec::new();
-    for q in Pid::all(n) {
-        if crashed.contains(&q) {
-            continue;
-        }
-        for &p in crashed {
-            if p != q {
-                plan.push((Time::ZERO, Injection::Fd(q, FdEvent::Suspect(p))));
-            }
-        }
-    }
-    plan
-}
-
-/// Plan for the **crash-transient** scenario: `p` crashes at
-/// `crash_at`; every other process starts suspecting it permanently
-/// `T_D` later. No wrong suspicions.
-pub fn crash_transient_plan(n: usize, p: Pid, crash_at: Time, detection: Dur) -> Vec<PlanEntry> {
-    Pid::all(n)
-        .filter(|&q| q != p)
-        .map(|q| (crash_at + detection, Injection::Fd(q, FdEvent::Suspect(p))))
-        .collect()
-}
-
-/// Plan for a **recovery**: `p` came back at `recover_at`; every
-/// other process stops suspecting it `T_D` later (the detectors need
-/// the same detection delay to notice life as they needed to notice
-/// death).
-pub fn recovery_plan(n: usize, p: Pid, recover_at: Time, detection: Dur) -> Vec<PlanEntry> {
-    Pid::all(n)
-        .filter(|&q| q != p)
-        .map(|q| (recover_at + detection, Injection::Fd(q, FdEvent::Trust(p))))
-        .collect()
-}
-
-/// Plan for a **partition cut**: `T_D` after the cut, every process
-/// suspects every process it can no longer reach.
-pub fn partition_cut_plan(n: usize, part: &Partition, at: Time, detection: Dur) -> Vec<PlanEntry> {
-    cross_partition_edges(n, part, at + detection, FdEvent::Suspect)
-}
-
-/// Plan for a **partition heal**: `T_D` after the heal, every process
-/// trusts again every process the cut had hidden from it.
-pub fn partition_heal_plan(
-    n: usize,
-    part: &Partition,
-    heal_at: Time,
-    detection: Dur,
-) -> Vec<PlanEntry> {
-    cross_partition_edges(n, part, heal_at + detection, FdEvent::Trust)
-}
-
-fn cross_partition_edges(
-    n: usize,
-    part: &Partition,
-    at: Time,
-    edge: impl Fn(Pid) -> FdEvent,
-) -> Vec<PlanEntry> {
-    let mut plan = Vec::new();
-    for q in Pid::all(n) {
-        for p in Pid::all(n) {
-            if p != q && !part.allows(q, p) {
-                plan.push((at, Injection::Fd(q, edge(p))));
-            }
-        }
-    }
-    plan
-}
-
-/// Plan for the **suspicion-steady** scenario: no crashes, but every
-/// ordered pair `(q, p)` wrongly suspects according to its own
-/// independent renewal process — mistakes start `Exp(T_MR)` apart and
-/// last `Exp(T_M)`.
-///
-/// The plan covers `[0, horizon)` and is deterministic in `seed`.
-/// Shorthand for [`suspicion_burst_plan`] over the whole run with all
-/// processes as targets.
-pub fn suspicion_steady_plan(
-    n: usize,
-    horizon: Time,
-    params: QosParams,
-    seed: u64,
-) -> Vec<PlanEntry> {
-    suspicion_burst_plan(n, Time::ZERO, horizon, params, seed, None)
-}
-
 /// Plan for a **suspicion burst**: wrong suspicions according to the
 /// given QoS, but only inside the window `[from, until)` and — when
 /// `targets` is given — only *about* the listed processes (every
@@ -202,7 +107,7 @@ pub fn suspicion_burst_plan(
     params: QosParams,
     seed: u64,
     targets: Option<&[Pid]>,
-) -> Vec<PlanEntry> {
+) -> Vec<(Time, Injection)> {
     let mut plan = Vec::new();
     if !params.makes_mistakes() || until <= from {
         return plan;
@@ -248,7 +153,7 @@ pub fn suspicion_burst_plan(
 }
 
 fn push_interval(
-    plan: &mut Vec<PlanEntry>,
+    plan: &mut Vec<(Time, Injection)>,
     q: Pid,
     p: Pid,
     start: u64,
@@ -282,73 +187,11 @@ mod tests {
     use super::*;
 
     /// Destructures an entry that must be an FD edge.
-    fn fd(entry: &PlanEntry) -> (Time, Pid, FdEvent) {
+    fn fd(entry: &(Time, Injection)) -> (Time, Pid, FdEvent) {
         match entry {
             (t, Injection::Fd(q, ev)) => (*t, *q, *ev),
             other => panic!("expected an FD edge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn crash_steady_suspects_all_crashed_at_zero() {
-        let crashed = [Pid::new(2)];
-        let plan = crash_steady_plan(4, &crashed);
-        assert_eq!(plan.len(), 3); // three survivors suspect p3
-        for entry in &plan {
-            let (t, q, ev) = fd(entry);
-            assert_eq!(t, Time::ZERO);
-            assert_ne!(q, Pid::new(2));
-            assert_eq!(ev, FdEvent::Suspect(Pid::new(2)));
-        }
-    }
-
-    #[test]
-    fn crash_steady_with_multiple_crashes() {
-        let crashed = [Pid::new(0), Pid::new(1)];
-        let plan = crash_steady_plan(4, &crashed);
-        // p3 and p4 each suspect p1 and p2.
-        assert_eq!(plan.len(), 4);
-    }
-
-    #[test]
-    fn crash_transient_fires_detection_time_after_crash() {
-        let plan = crash_transient_plan(3, Pid::new(0), Time::from_secs(5), Dur::from_millis(100));
-        assert_eq!(plan.len(), 2);
-        for entry in &plan {
-            let (t, q, ev) = fd(entry);
-            assert_eq!(t, Time::from_secs(5) + Dur::from_millis(100));
-            assert_ne!(q, Pid::new(0));
-            assert_eq!(ev, FdEvent::Suspect(Pid::new(0)));
-        }
-    }
-
-    #[test]
-    fn recovery_trusts_detection_time_after_return() {
-        let plan = recovery_plan(3, Pid::new(1), Time::from_secs(2), Dur::from_millis(40));
-        assert_eq!(plan.len(), 2);
-        for entry in &plan {
-            let (t, q, ev) = fd(entry);
-            assert_eq!(t, Time::from_secs(2) + Dur::from_millis(40));
-            assert_ne!(q, Pid::new(1));
-            assert_eq!(ev, FdEvent::Trust(Pid::new(1)));
-        }
-    }
-
-    #[test]
-    fn partition_plans_cover_exactly_the_cut_pairs() {
-        let part = Partition::split(&[vec![Pid::new(0), Pid::new(1)], vec![Pid::new(2)]]);
-        let cut = partition_cut_plan(3, &part, Time::from_secs(1), Dur::from_millis(30));
-        // p1⇹p3, p2⇹p3 in both directions.
-        assert_eq!(cut.len(), 4);
-        for entry in &cut {
-            let (t, q, ev) = fd(entry);
-            assert_eq!(t, Time::from_secs(1) + Dur::from_millis(30));
-            assert!(!part.allows(q, ev.subject()));
-            assert!(matches!(ev, FdEvent::Suspect(_)));
-        }
-        let heal = partition_heal_plan(3, &part, Time::from_secs(4), Dur::from_millis(30));
-        assert_eq!(heal.len(), 4);
-        assert!(heal.iter().all(|e| matches!(fd(e).2, FdEvent::Trust(_))));
     }
 
     #[test]
@@ -386,7 +229,7 @@ mod tests {
         let params = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(50))
             .with_mistake_duration(Dur::ZERO);
-        let plan = suspicion_steady_plan(3, Time::from_secs(5), params, 17);
+        let plan = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(5), params, 17, None);
         assert!(!plan.is_empty());
         for q in Pid::all(3) {
             for p in Pid::all(3) {
@@ -410,7 +253,14 @@ mod tests {
 
     #[test]
     fn suspicion_plan_is_empty_for_perfect_detector() {
-        let plan = suspicion_steady_plan(3, Time::from_secs(10), QosParams::new(), 1);
+        let plan = suspicion_burst_plan(
+            3,
+            Time::ZERO,
+            Time::from_secs(10),
+            QosParams::new(),
+            1,
+            None,
+        );
         assert!(plan.is_empty());
     }
 
@@ -419,7 +269,7 @@ mod tests {
         let params = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(50))
             .with_mistake_duration(Dur::from_millis(20));
-        let plan = suspicion_steady_plan(3, Time::from_secs(20), params, 7);
+        let plan = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(20), params, 7, None);
         assert!(!plan.is_empty());
         // Per ordered pair, edges alternate S, T, S, T, … and never
         // move backwards in time.
@@ -455,7 +305,7 @@ mod tests {
         let params = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(100))
             .with_mistake_duration(Dur::ZERO);
-        let plan = suspicion_steady_plan(2, Time::from_secs(10), params, 3);
+        let plan = suspicion_burst_plan(2, Time::ZERO, Time::from_secs(10), params, 3, None);
         assert!(!plan.is_empty());
         assert_eq!(plan.len() % 2, 0);
         // Every suspect is matched by a trust *strictly after* it
@@ -485,7 +335,7 @@ mod tests {
             .with_mistake_recurrence(tmr)
             .with_mistake_duration(Dur::ZERO);
         let horizon = Time::from_secs(400);
-        let plan = suspicion_steady_plan(2, horizon, params, 11);
+        let plan = suspicion_burst_plan(2, Time::ZERO, horizon, params, 11, None);
         // 2 ordered pairs × (400 s / 0.2 s) ≈ 4000 mistakes expected;
         // each mistake is 2 edges. Allow ±15%.
         let mistakes = plan.len() as f64 / 2.0;
@@ -501,9 +351,9 @@ mod tests {
         let params = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(50))
             .with_mistake_duration(Dur::from_millis(5));
-        let a = suspicion_steady_plan(3, Time::from_secs(5), params, 42);
-        let b = suspicion_steady_plan(3, Time::from_secs(5), params, 42);
-        let c = suspicion_steady_plan(3, Time::from_secs(5), params, 43);
+        let a = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(5), params, 42, None);
+        let b = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(5), params, 42, None);
+        let c = suspicion_burst_plan(3, Time::ZERO, Time::from_secs(5), params, 43, None);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -544,16 +394,5 @@ mod tests {
             observers.insert(q.index());
         }
         assert_eq!(observers.len(), 3, "every other process observes");
-    }
-
-    #[test]
-    fn burst_plan_over_full_run_equals_steady_plan() {
-        let params = QosParams::new()
-            .with_mistake_recurrence(Dur::from_millis(40))
-            .with_mistake_duration(Dur::from_millis(10));
-        let horizon = Time::from_secs(5);
-        let steady = suspicion_steady_plan(3, horizon, params, 21);
-        let burst = suspicion_burst_plan(3, Time::ZERO, horizon, params, 21, None);
-        assert_eq!(steady, burst);
     }
 }

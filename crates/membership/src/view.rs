@@ -114,7 +114,7 @@ impl View {
         self.members
             .iter()
             .copied()
-            .filter(|&p| p != me && suspects.is_suspected(p))
+            .filter(|&p| p != me && suspects.contains(p))
             .collect()
     }
 }

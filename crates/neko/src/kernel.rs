@@ -5,7 +5,6 @@
 //! process handler can receive `&mut Kernel` (wrapped in a context)
 //! while the simulator holds `&mut` to the process itself.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -162,7 +161,10 @@ pub(crate) struct Kernel<M: Message, C, O> {
     pub(crate) crashed: Vec<Option<Time>>,
     partition: Option<Partition>,
     suspects: Vec<DestSet>,
-    cancelled_timers: BTreeSet<u64>,
+    /// Tombstones of cancelled timers that have not popped yet,
+    /// sorted. A `Vec` keeps its capacity as the set drains and
+    /// refills, where a B-tree frees and reallocates its nodes.
+    cancelled_timers: Vec<u64>,
     next_timer: u64,
     rngs: Vec<SmallRng>,
     tie_breaker: TieBreaker,
@@ -200,7 +202,7 @@ impl<M: Message, C, O> Kernel<M, C, O> {
             crashed: vec![None; n],
             partition: None,
             suspects: vec![DestSet::new(); n],
-            cancelled_timers: BTreeSet::new(),
+            cancelled_timers: Vec::new(),
             next_timer: 0,
             rngs: (0..n)
                 .map(|i| stream_rng(seed, 0x5EED_0000 + i as u64))
@@ -250,23 +252,7 @@ impl<M: Message, C, O> Kernel<M, C, O> {
     /// if the edge is redundant (already in that state) and should not
     /// be delivered to the process.
     pub(crate) fn fd_apply(&mut self, at: Pid, ev: FdEvent) -> bool {
-        let mask = &mut self.suspects[at.index()];
-        let subject = ev.subject();
-        match ev {
-            FdEvent::Suspect(_) => {
-                if mask.contains(subject) {
-                    return false;
-                }
-                mask.insert(subject);
-            }
-            FdEvent::Trust(_) => {
-                if !mask.contains(subject) {
-                    return false;
-                }
-                mask.remove(subject);
-            }
-        }
-        true
+        self.suspects[at.index()].apply(ev)
     }
 
     /// Hands a message to the sending host's CPU, possibly coalescing
@@ -404,7 +390,13 @@ impl<M: Message, C, O> Kernel<M, C, O> {
     }
 
     pub(crate) fn timer_fires(&mut self, id: TimerId) -> bool {
-        self.cancelled_timers.is_empty() || !self.cancelled_timers.remove(&id.0)
+        match self.cancelled_timers.binary_search(&id.0) {
+            Ok(i) => {
+                self.cancelled_timers.remove(i);
+                false
+            }
+            Err(_) => true,
+        }
     }
 }
 
@@ -517,7 +509,10 @@ impl<M: Message, C, O> Ctx<M, O> for SimCtx<'_, M, C, O> {
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.kernel.cancelled_timers.insert(id.0);
+        let tombstones = &mut self.kernel.cancelled_timers;
+        if let Err(i) = tombstones.binary_search(&id.0) {
+            tombstones.insert(i, id.0);
+        }
     }
 
     fn emit(&mut self, out: O) {

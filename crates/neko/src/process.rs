@@ -205,7 +205,9 @@ pub trait Process: Sized + 'static {
 
 /// A set of processes, stored as a multi-word bit mask (hence the
 /// [`MAX_PROCESSES`]-process limit). Serves as the engine's multicast
-/// destination set, failure-detector suspect mask and partition group.
+/// destination set, failure-detector suspect mask (`fdet::SuspectSet`
+/// is this type; [`DestSet::apply`] folds an [`FdEvent`] into it) and
+/// partition group.
 ///
 /// Deliberately **not** `Copy`: at four words the set is large enough
 /// that hot loops (fan-out, coalescing) should borrow or move it
@@ -273,6 +275,29 @@ impl DestSet {
     /// The number of members (a popcount per word).
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Applies a failure-detector edge to a suspect set: `Suspect(p)`
+    /// inserts `p`, `Trust(p)` removes it. Returns `true` if the set
+    /// changed, so a redundant edge can be dropped.
+    ///
+    /// ```
+    /// use neko::{DestSet, FdEvent, Pid};
+    ///
+    /// let mut s = DestSet::new();
+    /// assert!(s.apply(FdEvent::Suspect(Pid::new(1))));
+    /// assert!(s.contains(Pid::new(1)));
+    /// assert!(!s.apply(FdEvent::Suspect(Pid::new(1)))); // redundant
+    /// assert!(s.apply(FdEvent::Trust(Pid::new(1))));
+    /// assert!(!s.contains(Pid::new(1)));
+    /// ```
+    pub fn apply(&mut self, ev: FdEvent) -> bool {
+        match ev {
+            FdEvent::Suspect(p) if !self.contains(p) => self.insert(p),
+            FdEvent::Trust(p) if self.contains(p) => self.remove(p),
+            _ => return false,
+        }
+        true
     }
 
     /// The sole member, if the set has exactly one — the engine's
@@ -392,6 +417,17 @@ mod tests {
         s.remove(Pid::new(127));
         s.remove(Pid::new(128));
         assert_eq!(s.as_single(), Some(Pid::new(255)));
+    }
+
+    #[test]
+    fn apply_reports_changes() {
+        let mut s = DestSet::new();
+        assert!(s.apply(FdEvent::Suspect(Pid::new(3))));
+        assert!(!s.apply(FdEvent::Suspect(Pid::new(3))));
+        assert!(!s.apply(FdEvent::Trust(Pid::new(1))));
+        assert_eq!(s.len(), 1);
+        assert!(s.apply(FdEvent::Trust(Pid::new(3))));
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -164,8 +164,10 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `n > 64` (the crashed-process mask, like the
-    /// engine's destination sets, is a 64-bit word).
+    /// Panics if `n > 64`: this backend keeps its crashed processes
+    /// in one `AtomicU64` mask. (The engine's
+    /// [`DestSet`](crate::DestSet) holds up to
+    /// [`MAX_PROCESSES`](crate::MAX_PROCESSES).)
     pub fn new(n: usize, config: RealConfig, mut factory: impl FnMut(Pid) -> P) -> Self {
         assert!(n <= 64, "at most 64 processes are supported");
         RealRuntime {
@@ -765,6 +767,12 @@ mod tests {
         fn on_message(&mut self, ctx: &mut dyn Ctx<u64, u64>, _from: Pid, msg: u64) {
             ctx.emit(msg);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_than_64_processes_are_refused_before_any_thread_starts() {
+        let _ = RealRuntime::new(65, RealConfig::new(), |_| Echo);
     }
 
     /// Emits `100 + p` on a suspicion of `p`, `200 + p` on a trust.

@@ -37,7 +37,7 @@
 //!
 //! The wheel has no cancellation: every inserted event surfaces. The
 //! kernel cancels timers with its own tombstones (`cancelled_timers`,
-//! a `BTreeSet` of timer ids): a cancelled timer still surfaces from
+//! a sorted `Vec` of timer ids): a cancelled timer still surfaces from
 //! the queue and counts as a processed event, which golden executions
 //! pin, and is then dropped instead of reaching its process.
 

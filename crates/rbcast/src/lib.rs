@@ -173,7 +173,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
                 if self.delivered.insert(id) {
                     self.store.insert(id, payload.clone());
                     let relay = id.origin != self.me
-                        && suspects.is_suspected(id.origin)
+                        && suspects.contains(id.origin)
                         && self.relayed.insert(id);
                     if relay {
                         out.push(RbAction::Deliver {
@@ -201,7 +201,7 @@ impl<M: Clone + fmt::Debug> ReliableBcast<M> {
             });
             // Lazy relay: if the origin is already suspected when the
             // message arrives, pass it on immediately.
-            if id.origin != self.me && suspects.is_suspected(id.origin) && self.relayed.insert(id) {
+            if id.origin != self.me && suspects.contains(id.origin) && self.relayed.insert(id) {
                 to_relay.push((id, payload));
             }
         }

@@ -29,7 +29,7 @@ pub fn ring_members(n: usize, first: Pid, suspects: &SuspectSet) -> Vec<Pid> {
     let mut members: Vec<Pid> = rotation
         .iter()
         .copied()
-        .filter(|&p| !suspects.is_suspected(p))
+        .filter(|&p| !suspects.contains(p))
         .take(size)
         .collect();
     if members.len() < size {

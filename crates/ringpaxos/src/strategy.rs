@@ -288,7 +288,7 @@ impl<P: Payload> Ring<P> {
                 continue; // already in flight
             }
             let origin =
-                (id.origin != at.me && !at.suspects.is_suspected(id.origin)).then_some(id.origin);
+                (id.origin != at.me && !at.suspects.contains(id.origin)).then_some(id.origin);
             let candidates: Vec<Pid> = origin
                 .into_iter()
                 .chain(pool.iter().copied().filter(|&p| Some(p) != origin))

@@ -40,7 +40,7 @@ fn reference_members(n: usize, first: Pid, suspects: &SuspectSet) -> Vec<Pid> {
         .map(|i| {
             let p = Pid::new(i);
             let d = (n + i - first.index()) % n;
-            (suspects.is_suspected(p), d, p)
+            (suspects.contains(p), d, p)
         })
         .collect();
     ranked.sort();

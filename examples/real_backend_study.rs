@@ -25,7 +25,6 @@ fn main() {
             .with_drain(Dur::from_millis(350))
             .with_replications(1)
             .with_backend(Backend::Real)
-            .with_real_heartbeat(Dur::from_millis(5), Dur::from_millis(60))
     };
 
     println!("scenario,algorithm,mean_latency_ms,measured,undelivered");

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use abcast::{AbcastEvent, FdNode};
 use fdet::SuspectSet;
-use neko::{Dur, Pid, SimBuilder, Time};
+use neko::{Dur, FdEvent, Injection, Pid, SimBuilder, Time};
 
 /// A client command: `SET key value`, encoded as a payload string.
 fn set(key: &str, value: u64) -> String {
@@ -54,12 +54,12 @@ fn main() {
     // Replica p3 crashes mid-run; detection 20 ms later.
     let crash_at = Time::from_millis(100);
     sim.schedule_crash(crash_at, Pid::new(2));
-    sim.schedule_plan(fdet::crash_transient_plan(
-        n,
-        Pid::new(2),
-        crash_at,
-        Dur::from_millis(20),
-    ));
+    sim.schedule_plan(Pid::all(n).filter(|&q| q != Pid::new(2)).map(|q| {
+        (
+            crash_at + Dur::from_millis(20),
+            Injection::Fd(q, FdEvent::Suspect(Pid::new(2))),
+        )
+    }));
 
     sim.run_until(Time::from_secs(2));
 

@@ -10,7 +10,8 @@
 //!   paper's contention-aware network model, plus a thread-based
 //!   real-time runtime.
 //! * [`fdet`] — failure-detector models driven by the QoS metrics of
-//!   Chen et al. (`T_D`, `T_MR`, `T_M`), and a heartbeat detector.
+//!   Chen et al. (`T_D`, `T_MR`, `T_M`); the heartbeat detector of the
+//!   real-time runtime lives in [`neko::RealRuntime`].
 //! * [`rbcast`] — lazy reliable broadcast.
 //! * [`consensus`] — Chandra–Toueg ♦S consensus.
 //! * [`membership`] — group membership's views and wire messages.

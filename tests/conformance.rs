@@ -115,7 +115,6 @@ fn real_params(n: usize, throughput: f64) -> RunParams {
         .with_drain(Dur::from_millis(700))
         .with_replications(1)
         .with_backend(Backend::Real)
-        .with_real_heartbeat(Dur::from_millis(5), Dur::from_millis(60))
 }
 
 /// The four paper scenarios plus crash-recover and healing-partition,

@@ -5,7 +5,7 @@
 
 use abcast::{AbcastEvent, FdNode, GmNode, Uniformity};
 use fdet::{QosParams, SuspectSet};
-use neko::{Dur, Pid, Process, Sim, SimBuilder, Time};
+use neko::{Dur, FdEvent, Injection, Pid, Process, Sim, SimBuilder, Time};
 use ringpaxos::RingNode;
 use study::oracle::{self, DeliveryLog};
 use study::poisson_arrivals;
@@ -24,6 +24,14 @@ where
 /// judges fuzzed runs with.
 fn assert_uniform_total_order(logs: &[DeliveryLog], label: &str) {
     oracle::check_uniform_total_order(logs).unwrap_or_else(|v| panic!("{label}: {v}"));
+}
+
+/// The failure-detector edges of `p`'s crash at `at`: every other
+/// process suspects it `td` later.
+fn crash_detected(n: usize, p: Pid, at: Time, td: Dur) -> impl Iterator<Item = (Time, Injection)> {
+    Pid::all(n)
+        .filter(move |&q| q != p)
+        .map(move |q| (at + td, Injection::Fd(q, FdEvent::Suspect(p))))
 }
 
 fn run_scenario<P>(
@@ -56,7 +64,14 @@ fn total_order_under_wrong_suspicions_fd() {
         let qos = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(100))
             .with_mistake_duration(Dur::from_millis(10));
-        sim.schedule_plan(fdet::suspicion_steady_plan(n, horizon, qos, seed));
+        sim.schedule_plan(fdet::suspicion_burst_plan(
+            n,
+            Time::ZERO,
+            horizon,
+            qos,
+            seed,
+            None,
+        ));
         let logs = run_scenario(sim, n, 50.0, horizon, seed);
         assert_uniform_total_order(&logs, "FD under suspicions");
         assert!(!logs[0].is_empty(), "seed {seed}: something was delivered");
@@ -77,7 +92,14 @@ fn total_order_under_wrong_suspicions_gm() {
         let qos = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(700))
             .with_mistake_duration(Dur::ZERO);
-        sim.schedule_plan(fdet::suspicion_steady_plan(n, horizon, qos, seed));
+        sim.schedule_plan(fdet::suspicion_burst_plan(
+            n,
+            Time::ZERO,
+            horizon,
+            qos,
+            seed,
+            None,
+        ));
         let logs = run_scenario(sim, n, 50.0, horizon, seed);
         assert_uniform_total_order(&logs, "GM under suspicions");
         assert!(!logs[0].is_empty(), "seed {seed}: something was delivered");
@@ -100,7 +122,14 @@ fn total_order_under_wrong_suspicions_ring() {
         let qos = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(100))
             .with_mistake_duration(Dur::from_millis(10));
-        sim.schedule_plan(fdet::suspicion_steady_plan(n, horizon, qos, seed));
+        sim.schedule_plan(fdet::suspicion_burst_plan(
+            n,
+            Time::ZERO,
+            horizon,
+            qos,
+            seed,
+            None,
+        ));
         let logs = run_scenario(sim, n, 50.0, horizon, seed);
         assert_uniform_total_order(&logs, "Ring under suspicions");
         assert!(!logs[0].is_empty(), "seed {seed}: something was delivered");
@@ -127,17 +156,17 @@ fn total_order_across_a_crash_all_algorithms() {
     for sim_logs in [
         {
             fd.schedule_crash(crash_at, Pid::new(0));
-            fd.schedule_plan(fdet::crash_transient_plan(n, Pid::new(0), crash_at, td));
+            fd.schedule_plan(crash_detected(n, Pid::new(0), crash_at, td));
             run_scenario(fd, n, 100.0, horizon, 11)
         },
         {
             gm.schedule_crash(crash_at, Pid::new(0));
-            gm.schedule_plan(fdet::crash_transient_plan(n, Pid::new(0), crash_at, td));
+            gm.schedule_plan(crash_detected(n, Pid::new(0), crash_at, td));
             run_scenario(gm, n, 100.0, horizon, 11)
         },
         {
             ring.schedule_crash(crash_at, Pid::new(0));
-            ring.schedule_plan(fdet::crash_transient_plan(n, Pid::new(0), crash_at, td));
+            ring.schedule_plan(crash_detected(n, Pid::new(0), crash_at, td));
             run_scenario(ring, n, 100.0, horizon, 11)
         },
     ] {
@@ -162,7 +191,14 @@ fn non_uniform_gm_preserves_total_order_among_survivors() {
     let qos = QosParams::new()
         .with_mistake_recurrence(Dur::from_secs(1))
         .with_mistake_duration(Dur::ZERO);
-    sim.schedule_plan(fdet::suspicion_steady_plan(n, horizon, qos, 4));
+    sim.schedule_plan(fdet::suspicion_burst_plan(
+        n,
+        Time::ZERO,
+        horizon,
+        qos,
+        4,
+        None,
+    ));
     let logs = run_scenario(sim, n, 50.0, horizon, 4);
     assert_uniform_total_order(&logs, "non-uniform GM");
 }
@@ -179,7 +215,14 @@ fn same_seed_reproduces_the_exact_run() {
         let qos = QosParams::new()
             .with_mistake_recurrence(Dur::from_millis(200))
             .with_mistake_duration(Dur::from_millis(5));
-        sim.schedule_plan(fdet::suspicion_steady_plan(n, horizon, qos, seed));
+        sim.schedule_plan(fdet::suspicion_burst_plan(
+            n,
+            Time::ZERO,
+            horizon,
+            qos,
+            seed,
+            None,
+        ));
         let senders: Vec<Pid> = Pid::all(n).collect();
         for (t, p, v) in poisson_arrivals(n, 200.0, horizon, &senders, seed) {
             sim.schedule_command(t, p, v);

@@ -229,7 +229,7 @@ fn fd_shell_calls_are_pinned() {
     assert!(count(p3, "on_recover") == 1, "{p3:#?}");
     assert!(count(p3, "set_timer tag 3") > 10, "probe ticks");
     assert!(count(p3, "Nudge") > 0, "a frozen instance is nudged");
-    assert_eq!((lines(&logs), digest(&logs)), (704, 0x79d09791901c2a78));
+    assert_eq!((lines(&logs), digest(&logs)), (671, 0x256dc1c119828088));
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn ring_shell_calls_are_pinned() {
     let p3 = &logs[2];
     assert!(count(p3, "on_recover") == 1, "{p3:#?}");
     assert!(count(p3, "set_timer tag 3") > 10, "probe ticks");
-    assert_eq!((lines(&logs), digest(&logs)), (724, 0x85df7fc192edd4b9));
+    assert_eq!((lines(&logs), digest(&logs)), (691, 0xe767eaea8992d4ef));
 }
 
 /// GM: p1 and p2 suspect p3, which is excluded and retries its join
@@ -292,5 +292,5 @@ fn gm_shell_calls_are_pinned() {
         count(p1, "Flush { view: ViewId(2)") > 2,
         "the frozen view change is repaired"
     );
-    assert_eq!((lines(&logs), digest(&logs)), (1029, 0x4d1b683240cd7dca));
+    assert_eq!((lines(&logs), digest(&logs)), (983, 0x0b25e698ae124370));
 }
