@@ -1,12 +1,12 @@
 //! The one [`neko::Process`] shell of every stack: a [`Node`] runs any
 //! [`Machine`] — the FD reduction with either strategy (FD and Ring)
 //! and GM — so the same state machines run on the simulator and on the
-//! real-time runtime ([`neko::RealRuntime`], where `on_fd` edges come
-//! from a live heartbeat detector and timers ride the OS clock — see
-//! the cross-backend conformance tests in `tests/conformance.rs`). The
-//! shell owns the probe timer, the retry timers a machine asks for and
-//! the group its multicasts go to; it never looks at which algorithm
-//! it runs.
+//! real-time runtime ([`neko::RealRuntime`], where the `on_fd` edges
+//! are the replayed fault script's, as on the simulator, and timers
+//! ride the OS clock — see the cross-backend conformance tests in
+//! `tests/conformance.rs`). The shell owns the probe timer, the retry
+//! timers a machine asks for and the group its multicasts go to; it
+//! never looks at which algorithm it runs.
 
 use std::fmt;
 
@@ -126,10 +126,10 @@ impl<M: Machine> Node<M> {
         &self.inner
     }
 
+    /// Arms the next probe tick. A previously armed tick that is still
+    /// pending is not cancelled: `on_timer` ignores every probe id but
+    /// the latest.
     fn arm_probe(&mut self, ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>) {
-        if let Some(id) = self.probe_timer.take() {
-            ctx.cancel_timer(id);
-        }
         self.probe_timer = Some(ctx.set_timer(self.probe_after, M::PROBE_TAG));
     }
 
@@ -207,7 +207,8 @@ impl<M: Machine> Process for Node<M> {
 
     fn on_recover(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
         // Probe ticks due while we were down never fired; restart the
-        // chain (cancelling a stale pre-crash timer, if any).
+        // chain. A pre-crash tick still pending is ignored when it
+        // fires, so it needs no cancel.
         self.arm_probe(ctx);
         self.handle(ctx, M::recover);
     }
@@ -216,10 +217,8 @@ impl<M: Machine> Process for Node<M> {
         if tag != M::PROBE_TAG {
             self.handle(ctx, |m, out| m.retry(tag, out));
         } else if self.probe_timer == Some(id) {
-            // The firing timer needs no cancel. The probe only queues
-            // actions, so re-arming first keeps the timer ahead of the
-            // probe's sends.
-            self.probe_timer = None;
+            // The probe only queues actions, so re-arming first keeps
+            // the timer ahead of the probe's sends.
             self.arm_probe(ctx);
             self.handle(ctx, M::probe);
         }
@@ -335,12 +334,18 @@ mod tests {
             self.ticks += usize::from(tag == M::PROBE_TAG);
             self.call(ctx, |node, ctx| node.on_timer(ctx, id, tag));
         }
+        fn on_recover(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
+            self.call(ctx, |node, ctx| node.on_recover(ctx));
+        }
     }
 
-    /// A probe tick re-arms without cancelling the timer that is
-    /// firing: a cancel of an already-fired id is a no-op for the
-    /// process, but the runtime keeps it as a tombstone.
-    fn probe_ticks_cancel_nothing<M: Machine<Payload = u64>>(node: impl Fn(Pid) -> Node<M>) {
+    /// Runs `node`'s stack at n = 3 for one second under `faults`, with
+    /// a broadcast every 10 ms, and returns each process's probe ticks
+    /// and timer cancellations.
+    fn ticks_and_cancels<M: Machine<Payload = u64>>(
+        node: impl Fn(Pid) -> Node<M>,
+        faults: &[(u64, neko::Injection)],
+    ) -> Vec<(usize, usize)> {
         let mut sim = neko::SimBuilder::new(3).seed(1).build_with(|me| Counted {
             node: node(me),
             cancels: 0,
@@ -349,11 +354,22 @@ mod tests {
         for i in 0..30u64 {
             sim.schedule_command(neko::Time::from_millis(10 * i), Pid::new(i as usize % 3), i);
         }
+        for (t, inj) in faults {
+            sim.schedule_injection(neko::Time::from_millis(*t), inj.clone());
+        }
         sim.run_until(neko::Time::from_secs(1));
-        for me in Pid::all(3) {
-            let c = sim.process(me);
-            assert!(c.ticks >= 19, "{me}: {} probe ticks", c.ticks);
-            assert_eq!(c.cancels, 0, "{me}");
+        Pid::all(3)
+            .map(|me| (sim.process(me).ticks, sim.process(me).cancels))
+            .collect()
+    }
+
+    /// A probe tick re-arms without cancelling the timer that is
+    /// firing: a cancel of an already-fired id is a no-op for the
+    /// process, but the runtime keeps it as a tombstone.
+    fn probe_ticks_cancel_nothing<M: Machine<Payload = u64>>(node: impl Fn(Pid) -> Node<M>) {
+        for (i, (ticks, cancels)) in ticks_and_cancels(node, &[]).into_iter().enumerate() {
+            assert!(ticks >= 19, "p{}: {ticks} probe ticks", i + 1);
+            assert_eq!(cancels, 0, "p{}", i + 1);
         }
     }
 
@@ -367,6 +383,26 @@ mod tests {
     fn gm_probe_ticks_cancel_nothing() {
         let none = fdet::SuspectSet::new();
         probe_ticks_cancel_nothing(|me| GmNode::<u64>::new(me, 3, &none));
+    }
+
+    /// A recovery restarts the probe chain without cancelling the
+    /// pre-crash tick, which has usually fired while the process was
+    /// down (a cancel would then be a tombstone nobody removes).
+    #[test]
+    fn crash_and_recovery_cancel_nothing() {
+        use neko::Injection;
+        let none = fdet::SuspectSet::new();
+        // p3 is down from 250 ms to 330 ms, across its 250 ms tick.
+        let faults = [
+            (250, Injection::Crash(Pid::new(2))),
+            (330, Injection::Recover(Pid::new(2))),
+        ];
+        let fd = ticks_and_cancels(|me| FdNode::<u64>::new(me, 3, &none), &faults);
+        let gm = ticks_and_cancels(|me| GmNode::<u64>::new(me, 3, &none), &faults);
+        for (ticks, cancels) in fd.into_iter().chain(gm) {
+            assert!(ticks >= 17, "{ticks} probe ticks");
+            assert_eq!(cancels, 0);
+        }
     }
 
     #[test]

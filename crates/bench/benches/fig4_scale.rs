@@ -5,10 +5,11 @@
 //!
 //! The paper stops at n = 7 because that is what the cluster had; the
 //! simulator's former `BinaryHeap` kernel also made large groups
-//! painful (every FD heartbeat pair is a scheduled event, so the event
-//! queue scales as n² timers). The timing-wheel kernel, `Arc` fan-out
-//! and four-word destination masks exist precisely to make this sweep
-//! routine — it doubles as the scaling acceptance run for that work.
+//! painful (every pending arrival, message and timer paid O(log n) in
+//! one heap, and a broadcast fans out to n − 1 deliveries). The
+//! timing-wheel kernel, `Arc` fan-out and four-word destination masks
+//! exist precisely to make this sweep routine — it doubles as the
+//! scaling acceptance run for that work.
 //!
 //! All three study algorithms sweep each size (the paper's two plus
 //! the ring contender), so the scaling story is comparative, not

@@ -9,8 +9,8 @@
 //! probe — the probe broadcast alone. The whole pipeline is generic
 //! over the [`Backend`]: [`Backend::Sim`] runs on the deterministic
 //! simulator, [`Backend::Real`] runs the same schedule on OS threads
-//! with a heartbeat failure detector ([`neko::RealRuntime`]), the
-//! compiled `(Time, Injection)` stream replayed on the wall clock.
+//! ([`neko::RealRuntime`]), the compiled `(Time, Injection)` stream
+//! replayed on the wall clock.
 //! Replications and whole parameter sweeps fan out across OS threads
 //! ([`run_sweep`]) with per-replication derived seeds and a
 //! deterministic merge order, so simulated results never depend on
@@ -26,13 +26,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Pack, Payload, Uniformity};
 use fdet::SuspectSet;
 use neko::{
-    derive_seed, Dur, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig, RealRuntime,
-    Runtime, Schedule, Sim, SimBuilder, Time,
+    derive_seed, Dur, NetParams, NetStats, NetworkModel, Pid, Process, RealRuntime, Runtime,
+    Schedule, Sim, SimBuilder, Time,
 };
 use ringpaxos::RingNode;
 
@@ -76,22 +75,14 @@ pub enum Backend {
     /// bit-reproducible, contention-modelled. The default.
     #[default]
     Sim,
-    /// The thread-based real-time runtime: the same schedule replayed
-    /// on the wall clock, with crashes pausing process threads, a
-    /// router thread gating partitions and a heartbeat failure
-    /// detector underneath the scripted FD edges (5 ms period, 60 ms
-    /// suspicion timeout). A run *blocks* for its full wall-clock
-    /// duration (warm-up + measurement + drain), and latencies include
-    /// genuine OS scheduling noise.
+    /// The thread-based real-time runtime: the same compiled schedule
+    /// replayed on the wall clock, with crashes pausing process
+    /// threads, partitions gating each thread's sends and the
+    /// script's FD edges as the only failure detector. A run *blocks*
+    /// for its full wall-clock duration (warm-up + measurement +
+    /// drain), and latencies include genuine OS scheduling noise.
     Real,
 }
-
-/// The heartbeat period of [`Backend::Real`]'s failure detector.
-const REAL_HEARTBEAT_PERIOD: Duration = Duration::from_millis(5);
-
-/// How long [`Backend::Real`]'s failure detector waits for a
-/// heartbeat before it suspects the sender.
-const REAL_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(60);
 
 /// Default bound on retained per-message latency samples per run (see
 /// [`RunParams::with_latency_sample_cap`]).
@@ -705,10 +696,7 @@ impl Execution<'_> {
                 }
             }
             Backend::Real => {
-                let config = RealConfig::new()
-                    .heartbeat(REAL_HEARTBEAT_PERIOD, REAL_HEARTBEAT_TIMEOUT)
-                    .seed(self.seed);
-                let mut rt = RealRuntime::new(n, config, factory);
+                let mut rt = RealRuntime::new(n, self.seed, factory);
                 self.schedule(&mut rt);
                 rt.run_until(self.end);
                 Executed {

@@ -11,10 +11,10 @@
 //! The compiled `(Time, Injection)` stream is backend-agnostic: any
 //! [`neko::Runtime`] can schedule it. The simulator interprets the
 //! timestamps as simulated time; the real-time runtime replays the
-//! same stream as a wall-clock schedule (crashes pause threads,
-//! partitions gate a router, FD edges force the heartbeat detector's
-//! mask) — that is what makes every scenario below runnable *for
-//! real* through `Backend::Real`.
+//! same stream as a wall-clock schedule (crashes pause threads, each
+//! thread gates its own sends across a partition, FD edges update its
+//! suspect set as in the kernel) — that is what makes every scenario
+//! below runnable *for real* through `Backend::Real`.
 //!
 //! Compilation is the one place that gives a fault its meaning: a
 //! crash, recovery or partition becomes its kernel injection plus the

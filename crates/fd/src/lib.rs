@@ -19,10 +19,10 @@
 //! The edges of crashes, recoveries and partitions, which follow
 //! from `T_D` alone, are emitted by the fault-script compiler
 //! (`study::FaultScript::compile`). The sampled edges are
-//! backend-agnostic: on [`neko::Sim`] they drive the abstract QoS
-//! detector model; on [`neko::RealRuntime`] they are forced onto the
-//! live heartbeat detector's mask, so a scripted suspicion burst
-//! perturbs a real thread exactly when it perturbed the simulation.
+//! backend-agnostic: [`neko::Sim`] and [`neko::RealRuntime`] both
+//! apply them to a process's suspect set as they come due, so a
+//! scripted suspicion burst perturbs a real thread exactly when it
+//! perturbed the simulation.
 //!
 //! ```
 //! use fdet::{suspicion_burst_plan, QosParams};

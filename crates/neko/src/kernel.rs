@@ -164,7 +164,7 @@ pub(crate) struct Kernel<M: Message, C, O> {
     /// Tombstones of cancelled timers that have not popped yet,
     /// sorted. A `Vec` keeps its capacity as the set drains and
     /// refills, where a B-tree frees and reallocates its nodes.
-    cancelled_timers: Vec<u64>,
+    pub(crate) cancelled_timers: Vec<u64>,
     next_timer: u64,
     rngs: Vec<SmallRng>,
     tie_breaker: TieBreaker,

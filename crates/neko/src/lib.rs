@@ -78,7 +78,7 @@ pub use inject::{Injection, Partition};
 pub use kernel::Schedule;
 pub use net::{NetParams, NetStats, NetworkModel, WanParams};
 pub use process::{Ctx, DestSet, FdEvent, Message, Pid, Process, TimerId, MAX_PROCESSES};
-pub use real::{RealConfig, RealRuntime};
+pub use real::RealRuntime;
 pub use rng::{derive_seed, sample_exp_micros, splitmix64, stream_rng};
 pub use runtime::Runtime;
 pub use sim::{Sim, SimBuilder};

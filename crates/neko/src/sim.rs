@@ -271,7 +271,9 @@ impl<P: Process> Sim<P> {
                 }
             }
             Ev::Timer { at, id, tag } => {
-                if !kernel.is_crashed(at) && kernel.timer_fires(id) {
+                // The tombstone of a cancelled timer goes when the
+                // timer pops, also at a crashed process.
+                if kernel.timer_fires(id) && !kernel.is_crashed(at) {
                     let mut ctx = SimCtx { kernel, pid: at };
                     procs[at.index()].on_timer(&mut ctx, id, tag);
                 }
@@ -613,6 +615,33 @@ mod tests {
         s.schedule_command(Time::from_millis(12), Pid::new(0), false);
         s.run_until(Time::from_millis(30));
         assert!(s.take_outputs().is_empty());
+    }
+
+    #[test]
+    fn a_cancelled_timer_popping_at_a_crashed_process_leaves_no_tombstone() {
+        struct ArmAndCancel;
+        impl Process for ArmAndCancel {
+            type Msg = u64;
+            type Cmd = ();
+            type Out = u64;
+            fn on_command(&mut self, ctx: &mut dyn Ctx<u64, u64>, _cmd: ()) {
+                let id = ctx.set_timer(Dur::from_millis(5), 1);
+                ctx.cancel_timer(id);
+            }
+            fn on_message(&mut self, _ctx: &mut dyn Ctx<u64, u64>, _from: Pid, _msg: u64) {}
+            fn on_timer(&mut self, ctx: &mut dyn Ctx<u64, u64>, _id: TimerId, tag: u64) {
+                ctx.emit(tag);
+            }
+        }
+        use crate::inject::Injection;
+        let mut s = SimBuilder::new(1).build_with(|_| ArmAndCancel);
+        let p = Pid::new(0);
+        s.schedule_command(Time::ZERO, p, ());
+        s.schedule_injection(Time::from_millis(2), Injection::Crash(p));
+        s.schedule_injection(Time::from_millis(10), Injection::Recover(p));
+        s.run_until(Time::from_millis(20));
+        assert!(s.take_outputs().is_empty());
+        assert!(s.kernel.cancelled_timers.is_empty());
     }
 
     #[test]

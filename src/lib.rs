@@ -10,8 +10,8 @@
 //!   paper's contention-aware network model, plus a thread-based
 //!   real-time runtime.
 //! * [`fdet`] — failure-detector models driven by the QoS metrics of
-//!   Chen et al. (`T_D`, `T_MR`, `T_M`); the heartbeat detector of the
-//!   real-time runtime lives in [`neko::RealRuntime`].
+//!   Chen et al. (`T_D`, `T_MR`, `T_M`), the only failure detector on
+//!   both the simulator and the real-time runtime.
 //! * [`rbcast`] — lazy reliable broadcast.
 //! * [`consensus`] — Chandra–Toueg ♦S consensus.
 //! * [`membership`] — group membership's views and wire messages.

@@ -13,10 +13,13 @@
 
 use abcast::{AbcastEvent, FdNode, GmNode};
 use fdet::{QosParams, SuspectSet};
-use neko::{Dur, Pid, Process, RealConfig, RealRuntime, Runtime, SimBuilder, Time};
+use neko::{Ctx, Dur, FdEvent, Pid, Process, RealRuntime, Runtime, SimBuilder, Time};
 use ringpaxos::RingNode;
 use study::oracle::{self, DeliveryLog};
-use study::{poisson_arrivals, run_once, Algorithm, Backend, FaultScript, RunParams};
+use study::{
+    poisson_arrivals, run_once, Algorithm, Backend, FaultScript, RunParams, ScriptAction,
+    ScriptTime,
+};
 
 /// Drives the same Poisson workload through any backend and returns
 /// the per-process delivery logs.
@@ -54,13 +57,7 @@ where
     let mut sim = SimBuilder::new(n).seed(seed).build_with(make);
     let sim_logs = drive(&mut sim, n, throughput, horizon, seed);
 
-    let config = RealConfig::new()
-        .heartbeat(
-            std::time::Duration::from_millis(5),
-            std::time::Duration::from_millis(60),
-        )
-        .seed(seed);
-    let mut real = RealRuntime::new(n, config, make);
+    let mut real = RealRuntime::new(n, seed, make);
     let real_logs = drive(&mut real, n, throughput, horizon, seed);
 
     // The real backend upholds the atomic-broadcast contract …
@@ -242,5 +239,45 @@ fn sim_and_real_agree_on_what_was_measured() {
         let real = run_once(alg, &script, &real_params(3, 50.0), 7);
         assert_eq!(sim.measured, real.measured, "{alg:?}");
         assert_eq!(real.undelivered, 0, "{alg:?}");
+    }
+}
+
+/// Emits every suspicion it is told of, as the suspect's index.
+struct SuspicionLog;
+impl Process for SuspicionLog {
+    type Msg = ();
+    type Cmd = ();
+    type Out = usize;
+    fn on_command(&mut self, _ctx: &mut dyn Ctx<(), usize>, _cmd: ()) {}
+    fn on_message(&mut self, _ctx: &mut dyn Ctx<(), usize>, _from: Pid, _msg: ()) {}
+    fn on_fd(&mut self, ctx: &mut dyn Ctx<(), usize>, ev: FdEvent) {
+        if let FdEvent::Suspect(p) = ev {
+            ctx.emit(p.index());
+        }
+    }
+}
+
+#[test]
+fn the_real_backend_detects_a_crash_when_the_script_says() {
+    // The compiled script is the real backend's only failure
+    // detector: both survivors suspect the crashed p3, and neither
+    // before the scripted detection time, however long it is.
+    let (crash_at, detection) = (Time::from_millis(50), Dur::from_millis(150));
+    let script =
+        FaultScript::normal_steady().crash(ScriptTime::At(crash_at), Pid::new(2), detection);
+    let compiled = script.compile(3, Dur::ZERO, Time::from_millis(400), 1);
+    let mut rt = RealRuntime::new(3, 1, |_| SuspicionLog);
+    rt.schedule_plan(compiled.entries().iter().filter_map(|(t, act)| match act {
+        ScriptAction::Inject(inj) => Some((*t, inj.clone())),
+        ScriptAction::Probe(_) => None,
+    }));
+    rt.run_until(Time::from_millis(400));
+    let out = rt.take_outputs();
+    let mut suspecters: Vec<Pid> = out.iter().map(|(_, p, _)| *p).collect();
+    suspecters.sort();
+    assert_eq!(suspecters, vec![Pid::new(0), Pid::new(1)], "{out:?}");
+    for (t, _, suspect) in &out {
+        assert_eq!(*suspect, 2, "{out:?}");
+        assert!(*t >= crash_at + detection, "suspected before T_D: {out:?}");
     }
 }

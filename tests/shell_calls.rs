@@ -229,7 +229,7 @@ fn fd_shell_calls_are_pinned() {
     assert!(count(p3, "on_recover") == 1, "{p3:#?}");
     assert!(count(p3, "set_timer tag 3") > 10, "probe ticks");
     assert!(count(p3, "Nudge") > 0, "a frozen instance is nudged");
-    assert_eq!((lines(&logs), digest(&logs)), (671, 0x256dc1c119828088));
+    assert_eq!((lines(&logs), digest(&logs)), (670, 0x797b9ae27fe8119f));
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn ring_shell_calls_are_pinned() {
     let p3 = &logs[2];
     assert!(count(p3, "on_recover") == 1, "{p3:#?}");
     assert!(count(p3, "set_timer tag 3") > 10, "probe ticks");
-    assert_eq!((lines(&logs), digest(&logs)), (691, 0xe767eaea8992d4ef));
+    assert_eq!((lines(&logs), digest(&logs)), (690, 0x623d4ba89e43d854));
 }
 
 /// GM: p1 and p2 suspect p3, which is excluded and retries its join
@@ -292,5 +292,5 @@ fn gm_shell_calls_are_pinned() {
         count(p1, "Flush { view: ViewId(2)") > 2,
         "the frozen view change is repaired"
     );
-    assert_eq!((lines(&logs), digest(&logs)), (983, 0x0b25e698ae124370));
+    assert_eq!((lines(&logs), digest(&logs)), (982, 0xf906697b0d8f3b90));
 }
